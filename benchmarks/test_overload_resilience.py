@@ -1,25 +1,21 @@
-"""Overload-resilience harness: deadlines, shedding, and the ladder.
+"""Overload-resilience harness: deadlines, shedding, and the watchdog.
 
 Drives the fully-armed guarded predictor (deadline + admission control
-+ degradation ladder + accuracy canary) through six phases:
++ degradation ladder) through five phases:
 
 1. **baseline** — closed-loop stream, no faults: everything served by
    the learned stage, ladder healthy.
 2. **saturation** — ``CLIENTS`` concurrent closed loops (≈4× the
    admission capacity) against a model with an injected per-bucket
-   hang: admission sheds the excess instantly, the deadline bounds what
-   is admitted, and the ladder demonstrably steps down
-   (f64 → f32 → int8).
-3. **watchdog** — a fresh guard (no ladder masking the learned stage)
-   with the hang raised *past* the deadline: every learned attempt is
-   abandoned by the bucket watchdog and the analytic chain answers
-   inside the budget. No request may hang.
-4. **recovery** — the fault is lifted under light load: the ladder
-   climbs back to healthy via its hysteretic recovery path.
-5. **canary** — the cached int8 bundle is corrupted in place (the
-   staleness fingerprint still matches) with the canary shadow-sampling
-   at 100%: the drift trips the ladder off the corrupt tier.
-6. **shed fast-fail** — a ``reject``-mode guard behind a fully
+   hang: admission sheds the excess instantly and the deadline bounds
+   what is admitted.
+3. **watchdog** — a fresh guard with the hang raised *past* the
+   deadline: every learned attempt is abandoned by the bucket watchdog
+   and the analytic chain answers inside the budget. No request may
+   hang.
+4. **recovery** — the fault is lifted under light load; the guard's
+   reported ladder state is recorded.
+5. **shed fast-fail** — a ``reject``-mode guard behind a fully
    saturated admission controller: every request must fail in
    single-digit milliseconds, not queue.
 
@@ -30,18 +26,13 @@ Results go to ``BENCH_overload.json``. Gates (env-overridable):
 * p99 of *all* requests (including degraded answers) must stay within
   the same bound — nothing hangs, nothing waits out the fault;
 * shed requests must fail within ``REPRO_BENCH_OVERLOAD_SHED_GATE_MS``
-  (default 5 ms);
-* the saturation ladder history must contain both ``degraded_f32`` and
-  ``degraded_int8``, and recovery must reach ``healthy``;
-* the canary must trip at least once on the corrupted tier and step the
-  ladder off it.
+  (default 5 ms).
 
 Scale knobs: ``REPRO_BENCH_OVERLOAD_CLIENTS`` (default 16),
 ``REPRO_BENCH_OVERLOAD_REQS`` (default 8 per client),
 ``REPRO_BENCH_OVERLOAD_DEADLINE_MS`` (default 50),
 ``REPRO_BENCH_OVERLOAD_STORM_SECONDS`` (default 2.5 — the saturation
-storm keeps issuing requests at least this long so the ladder's
-hysteresis dwell can elapse twice).
+storm keeps issuing requests at least this long).
 """
 
 from __future__ import annotations
@@ -62,16 +53,12 @@ from repro.core.advisor import default_profile_grid
 from repro.core.predictor import PredictorConfig
 from repro.errors import Overloaded
 from repro.eval import render_table
-from repro.nn.precision import inference_weights, invalidate_inference_cache
 from repro.reliability import (
-    AccuracyCanary,
     AdmissionConfig,
     AdmissionController,
     DegradationLadder,
     FaultInjector,
     GuardedCostPredictor,
-    LadderConfig,
-    RetryPolicy,
 )
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_overload.json"
@@ -101,21 +88,14 @@ def _percentiles(samples: list[float]) -> dict[str, float]:
             "max": float(arr.max())}
 
 
-def _ladder(**overrides) -> DegradationLadder:
-    config = dict(degrade_p99=0.020, window=16, min_samples=8,
-                  hold_seconds=0.25, quarantine_seconds=5.0)
-    config.update(overrides)
-    return DegradationLadder(LadderConfig(**config))
-
-
 def _storm(guard: GuardedCostPredictor, requests_per_client: int,
            make_request, min_duration: float = 0.0) -> dict:
     """``CLIENTS`` concurrent closed loops; per-request latency + source.
 
     Each client issues at least ``requests_per_client`` requests and
     keeps looping until ``min_duration`` wall seconds have elapsed —
-    the saturation phase needs sustained pressure so the ladder's
-    hysteresis dwell can expire, not just a fixed request count.
+    the saturation phase needs sustained pressure, not just a fixed
+    request count.
     """
     samples: list[tuple[float, str, str | None]] = []
     lock = threading.Lock()
@@ -200,15 +180,13 @@ def test_overload_resilience():
     telemetry = obs.Telemetry.create()
     with obs.attached(telemetry):
         # -- phase 1: baseline, no faults ------------------------------
-        ladder = _ladder()
+        ladder = DegradationLadder()
         admission = AdmissionController(AdmissionConfig(
             max_in_flight=MAX_IN_FLIGHT, max_queue_depth=MAX_IN_FLIGHT,
             max_wait_seconds=0.010))
         guard = GuardedCostPredictor(
             base, gpsj=gpsj, admission=admission, ladder=ladder,
-            canary=AccuracyCanary(sample_rate=0.01),
-            default_deadline_ms=DEADLINE_MS,
-            retry_policy=RetryPolicy(attempts=1))
+            default_deadline_ms=DEADLINE_MS)
         rng = np.random.default_rng(0)
         guard.predict_many(make_request(rng))  # warm caches + pools
         baseline_samples = []
@@ -234,16 +212,14 @@ def test_overload_resilience():
         results["saturation"]["admission"] = admission.snapshot()
 
         # -- phase 3: the hang outlives the deadline (watchdog) --------
-        # Fresh guard without a ladder: the saturation ladder is fully
-        # degraded by now and would route everything around the model,
-        # leaving the watchdog untested.
+        # Fresh guard with its own admission controller, so the
+        # watchdog phase starts from empty admission counters.
         watchdog_guard = GuardedCostPredictor(
             base, gpsj=gpsj,
             admission=AdmissionController(AdmissionConfig(
                 max_in_flight=MAX_IN_FLIGHT, max_queue_depth=MAX_IN_FLIGHT,
                 max_wait_seconds=0.010)),
-            default_deadline_ms=DEADLINE_MS,
-            retry_policy=RetryPolicy(attempts=1))
+            default_deadline_ms=DEADLINE_MS)
         restore = injector.force_bucket_hang(model, WATCHDOG_HANG_MS / 1e3)
         try:
             results["watchdog"] = _storm(watchdog_guard,
@@ -252,51 +228,25 @@ def test_overload_resilience():
         finally:
             restore()
 
-        # -- phase 4: fault lifted, ladder recovers --------------------
+        # -- phase 4: fault lifted --------------------------------------
         recovery_start = time.perf_counter()
         recovered_at = None
         while time.perf_counter() - recovery_start < RECOVERY_TIMEOUT_S:
             guard.predict_many(make_request(rng))
-            if ladder.state == "healthy":
+            if guard.health_state()["ladder"] == "healthy":
                 recovered_at = time.perf_counter() - recovery_start
                 break
         results["recovery"] = {
-            "ladder": ladder.state,
+            "ladder": guard.health_state()["ladder"],
             "seconds_to_healthy": recovered_at,
             "transitions_total": len(ladder.history),
         }
 
-        # -- phase 5: corrupt int8 bundle, canary trips ----------------
-        # hold_seconds=0 so the push-down needs no wall-clock dwell.
-        canary_ladder = _ladder(hold_seconds=0.0)
-        for _ in range(40):  # drive it onto the int8 rung
-            canary_ladder.record(0.05)
-            if canary_ladder.state == "degraded_int8":
-                break
-        assert canary_ladder.state == "degraded_int8", canary_ladder.state
-        canary = AccuracyCanary(sample_rate=1.0, budget=0.05)
-        canary_guard = GuardedCostPredictor(
-            base, gpsj=gpsj, ladder=canary_ladder, canary=canary,
-            retry_policy=RetryPolicy(attempts=1))
-        inference_weights(model, "int8")  # materialize the cached bundle
-        try:
-            corrupted = injector.corrupt_precision_cache(model, "int8",
-                                                         magnitude=0.5)
-            canary_guard.predict_many(make_request(rng))
-        finally:
-            invalidate_inference_cache(model)
-        results["canary"] = {
-            "arrays_corrupted": corrupted,
-            **canary.snapshot(),
-            "ladder_after": canary_ladder.state,
-        }
-
-        # -- phase 6: shed fast-fail -----------------------------------
+        # -- phase 5: shed fast-fail -----------------------------------
         shed_admission = AdmissionController(AdmissionConfig(
             max_in_flight=1, max_queue_depth=0))
         reject_guard = GuardedCostPredictor(
-            base, gpsj=gpsj, admission=shed_admission, shed_mode="reject",
-            retry_policy=RetryPolicy(attempts=1))
+            base, gpsj=gpsj, admission=shed_admission, shed_mode="reject")
         reject_guard.predict_many(make_request(rng))  # warm encode cache
         release = injector.force_queue_saturation(shed_admission)
         shed_samples = []
@@ -318,8 +268,7 @@ def test_overload_resilience():
             for name in ("predict.shed_total",
                          "predict.deadline_exceeded_total",
                          "guard.raal.deadline_exceeded_total",
-                         "ladder.transitions_total",
-                         "canary.trips_total")
+                         "ladder.transitions_total")
             if telemetry.registry.get(name) is not None
         }
 
@@ -337,7 +286,6 @@ def test_overload_resilience():
          str(results["watchdog"]["outcomes"]["shed"]),
          str(results["watchdog"]["outcomes"]["deadline_exceeded"]), "-"],
         ["recovery", "-", "-", "-", results["recovery"]["ladder"]],
-        ["canary trip", "-", "-", "-", results["canary"]["ladder_after"]],
         ["shed fast-fail", f"{results['shed_fastfail']['p99'] * 1e3:.2f}",
          str(len(shed_samples)), "-", "-"],
     ]
@@ -352,12 +300,5 @@ def test_overload_resilience():
         assert sat["accepted_raal"]["p99"] <= bound, sat["accepted_raal"]
     assert sat["all"]["p99"] <= bound, sat["all"]
     assert results["watchdog"]["all"]["p99"] <= bound, results["watchdog"]
-    ladder_states = {t["new"] for t in sat["ladder_history"]}
-    assert "degraded_f32" in ladder_states, sat["ladder_history"]
-    assert "degraded_int8" in ladder_states, sat["ladder_history"]
-    assert results["recovery"]["ladder"] == "healthy", results["recovery"]
     assert results["shed_fastfail"]["p99"] <= SHED_GATE_MS / 1e3, \
         results["shed_fastfail"]
-    assert results["canary"]["trips"] >= 1, results["canary"]
-    assert results["canary"]["ladder_after"] == "degraded_f32", \
-        results["canary"]

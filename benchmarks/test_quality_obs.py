@@ -65,7 +65,6 @@ from repro.reliability import (
     FaultInjector,
     GuardedCostPredictor,
     LadderConfig,
-    RetryPolicy,
 )
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_quality.json"
@@ -132,19 +131,15 @@ def test_quality_observability():
          SLO("qerror", threshold=QERROR_SLO_THRESHOLD, objective=0.8)],
         BurnRateConfig(fast_window_seconds=15.0, slow_window_seconds=60.0,
                        fast_burn=1.0, slow_burn=1.0))
-    # degrade_p99 sits far above any real serve latency: this harness
-    # exercises the accuracy-drift path, not the latency ladder.
-    ladder = DegradationLadder(LadderConfig(degrade_p99=30.0,
-                                            hold_seconds=0.05))
+    ladder = DegradationLadder(LadderConfig(hold_seconds=0.05))
     guard = GuardedCostPredictor(
         base, gpsj=gpsj, ladder=ladder, quality=quality,
-        audit=AuditTrail(capacity=4096), slo=slo, workload="imdb",
-        retry_policy=RetryPolicy(attempts=1))
+        audit=AuditTrail(capacity=4096), slo=slo, workload="imdb")
 
     def feed_one(fast: bool = True) -> tuple[str, float | None]:
         """Serve the next query and close its feedback loop.
 
-        ``fast=False`` bypasses the ladder's tier routing, so the
+        ``fast=False`` bypasses the ladder's fallback routing, so the
         learned stage keeps answering (and feedback keeps flowing)
         even while the ladder sits in FALLBACK — the shape of feedback
         for queries that were served before a trip.

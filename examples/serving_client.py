@@ -83,7 +83,7 @@ def main() -> None:
     print(f"\nfeedback recorded: q-error {feedback['q_error']:.3f} "
           f"for request {feedback['request_id']}")
 
-    # 4. Operational state: every model's version, ladder rung, and
+    # 4. Operational state: every model's version, ladder state, and
     #    micro-batcher accounting.
     health = call(server, "/healthz")
     for name, model in health["models"].items():

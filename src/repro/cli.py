@@ -361,16 +361,15 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     print(f"telemetry self-check OK (span tree '{root.name}' with "
           f"encode/forward stages, {len(telemetry.registry)} metrics)")
     # Overload-resilience posture: run the same prediction through a
-    # fully-armed guard (deadline + admission + ladder + canary) and
-    # report the resulting health state. A healthy checkpoint must
-    # serve from the learned stage at the top ladder rung.
-    from repro.reliability import (AccuracyCanary, AdmissionController,
-                                   DegradationLadder, GuardedCostPredictor)
+    # fully-armed guard (deadline + admission + ladder) and report the
+    # resulting health state. A healthy checkpoint must serve from the
+    # learned stage with the ladder healthy.
+    from repro.reliability import (AdmissionController, DegradationLadder,
+                                   GuardedCostPredictor)
 
     guarded = GuardedCostPredictor(
         predictor, admission=AdmissionController(),
-        ladder=DegradationLadder(), canary=AccuracyCanary(),
-        default_deadline_ms=1000.0)
+        ladder=DegradationLadder(), default_deadline_ms=1000.0)
     explained = guarded.predict_explained(plans[0], PAPER_CLUSTER)
     health = guarded.health_state()
     admission = health.get("admission", {})
@@ -379,12 +378,12 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
           f"breakers={health['breakers']} "
           f"shed={admission.get('shed_queue_full', 0) + admission.get('shed_wait_timeout', 0)}")
     if explained.source != "raal" or health["ladder"] != "healthy":
-        # Name the rung: OPERATIONS.md's triage table keys off it.
-        print(f"health self-check FAILED: ladder rung '{health['ladder']}', "
+        # Name the state: OPERATIONS.md's triage table keys off it.
+        print(f"health self-check FAILED: ladder state '{health['ladder']}', "
               f"served from '{explained.source}' ({explained.reason})")
         return 1
     print(f"health self-check OK (served by the learned stage, "
-          f"ladder rung '{health['ladder']}')")
+          f"ladder state '{health['ladder']}')")
     return 0
 
 
@@ -529,6 +528,7 @@ def _metric_value(metrics: dict, name: str, default: float = 0.0) -> float:
 def _render_top(artifact: str) -> str:
     """One ``repro top`` frame: latency, quality, SLO burn, health."""
     from repro.obs.metrics import quantile_from_snapshot
+    from repro.reliability.ladder import LADDER_STATES
 
     report = obs.load_report(artifact)
     metrics = report.metrics
@@ -592,10 +592,8 @@ def _render_top(artifact: str) -> str:
             "SLO error-budget burn", ["slo", "fast", "slow", "state"],
             slo_rows))
 
-    ladder_names = {0: "healthy", 1: "degraded_f32", 2: "degraded_int8",
-                    3: "fallback"}
     health_rows = [
-        ["ladder", ladder_names.get(
+        ["ladder", dict(enumerate(LADDER_STATES)).get(
             int(_metric_value(metrics, "health.state")), "unknown")],
         ["guarded requests",
          f"{_metric_value(metrics, 'guard.requests_total'):g}"],

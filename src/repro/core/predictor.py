@@ -81,9 +81,9 @@ class CostPredictor:
     def configured(self, config: PredictorConfig) -> "CostPredictor":
         """A predictor sharing this one's encoder/model under ``config``.
 
-        The quality tracker is shared too: ladder-degraded tier
-        predictors report into the same feedback accounting as the base
-        tier, distinguished by the ``tier`` scope of each sample.
+        The quality tracker is shared too: predictors at other
+        precision tiers report into the same feedback accounting,
+        distinguished by the ``tier`` scope of each sample.
         """
         return CostPredictor(self.encoder, self.trainer, config,
                              quality=self.quality)

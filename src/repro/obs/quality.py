@@ -24,7 +24,7 @@ leave) so a single outlier batch cannot flap the state. Entering and
 leaving drift emits typed ``drift_detected`` / ``drift_recovered``
 events and drives the ``quality.drift_state`` gauge; the guarded
 predictor couples those transitions into its degradation ladder so
-accuracy regressions are first-class health signals alongside latency.
+accuracy regressions are first-class health signals.
 
 Everything here is stdlib + the q-error math; like the rest of
 ``repro.obs`` it imports no model code, so any subsystem can feed it.

@@ -127,7 +127,7 @@ class FaultInjector:
 
         Wraps the model's fast-path ``forward_inference`` with a sleep
         before delegating — the "slow worker" scenario that deadline
-        watchdogs and the degradation ladder must absorb. The hang runs
+        watchdogs and admission control must absorb. The hang runs
         *inside* the bucket worker thread, so a threaded
         :class:`~repro.core.execution.BucketExecutor` sees genuinely
         stuck in-flight futures, not a slow submit. Returns a restore
@@ -149,39 +149,6 @@ class FaultInjector:
             model.__dict__.pop("forward_inference", None)
 
         return _restore
-
-    def corrupt_precision_cache(self, model: Module, precision: str = "int8",
-                                magnitude: float = 0.5) -> int:
-        """Skew a cached reduced-precision weight bundle in place.
-
-        Multiplies every dense-head GEMM weight of the model's cached
-        ``precision`` bundle by ``1 + magnitude`` **without** touching
-        the f64 parameters — the bundle's staleness fingerprint still
-        matches, so the corruption survives cache revalidation and only
-        an accuracy canary comparing against the f64 path can catch it.
-        The bundle must already exist (run one prediction at that tier
-        first). Returns the number of arrays corrupted.
-        """
-        if precision not in ("f32", "int8"):
-            raise ReproError(
-                f"only cached tiers (f32/int8) can be corrupted, "
-                f"got {precision!r}")
-        cache = getattr(model, "_inference_weights", None)
-        entry = cache.get(precision) if cache else None
-        if entry is None:
-            raise ReproError(
-                f"model has no cached {precision} bundle to corrupt "
-                f"(run a prediction at that tier first)")
-        weights = entry[1]
-        corrupted = 0
-        for op in weights.dense:
-            if op[0] == "linear":
-                gemm = op[1]
-                gemm *= 1.0 + magnitude
-                corrupted += 1
-        if not corrupted:
-            raise ReproError("bundle has no dense GEMM weights to corrupt")
-        return corrupted
 
     def force_queue_saturation(self, admission) -> Callable[[], None]:
         """Occupy every admission slot, so real requests queue or shed.

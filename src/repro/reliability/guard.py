@@ -10,10 +10,9 @@ a :class:`~repro.core.predictor.CostPredictor` with exactly that chain:
     RAAL (learned) → GPSJ (analytic) → static heuristic
 
 Every stage is protected by a circuit breaker (skip a stage outright
-after K consecutive failures, re-probe after a cooldown) and the RAAL
-stage additionally retries transient faults with bounded backoff.
-Every answer carries provenance: which stage produced it and, when the
-chain degraded, why.
+after K consecutive failures, re-probe after a cooldown). Every answer
+carries provenance: which stage produced it and, when the chain
+degraded, why.
 
 On top of the fault chain sits the overload-resilience layer (all
 optional, all default-off):
@@ -22,29 +21,24 @@ optional, all default-off):
   :class:`~repro.reliability.deadline.Deadline` (or synthesizes one
   from ``default_deadline_ms``); the learned stage abandons work past
   the budget and the chain serves the analytic answer instead. A blown
-  deadline is *load*, not model failure — it never trips the breaker
-  and is never retried.
+  deadline is *load*, not model failure — it never trips the breaker.
 * **Admission control** — an :class:`~repro.reliability.admission.
   AdmissionController` bounds learned-model concurrency; shed requests
   either fall through to the analytic chain (``shed_mode="fallback"``,
   default) or raise :class:`~repro.errors.Overloaded` within
   milliseconds (``shed_mode="reject"``).
-* **Degradation ladder** — a :class:`~repro.reliability.ladder.
-  DegradationLadder` fed with learned-stage latencies picks the
-  serving precision tier (f64 → f32 → int8 → analytic-only) and is
-  pinned to its bottom rung while the RAAL breaker is open. The ladder
-  assumes the configured base tier is ``f64``.
-* **Accuracy canary** — while degraded, an
-  :class:`~repro.reliability.canary.AccuracyCanary` shadow-scores a
-  seeded ~1% sample on the f64 path and trips the ladder back up when
-  relative drift breaches the budget.
+* **Degradation ladder** — a two-state :class:`~repro.reliability.
+  ladder.DegradationLadder` (``healthy`` / ``fallback``) that the
+  quality feedback loop trips when the drift detector fires; while in
+  ``fallback`` the chain skips the learned model. RAAL always serves at
+  the predictor's configured precision.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -60,11 +54,9 @@ from repro.obs.quality import DRIFT, AccuracyTracker
 from repro.obs.slo import SLOTracker
 from repro.plan.physical import PhysicalPlan
 from repro.reliability.admission import AdmissionController
-from repro.reliability.canary import AccuracyCanary
-from repro.reliability.circuit import BreakerConfig, CircuitBreaker
+from repro.reliability.circuit import OPEN, BreakerConfig, CircuitBreaker
 from repro.reliability.deadline import Deadline
 from repro.reliability.ladder import DegradationLadder
-from repro.reliability.retry import RetryPolicy, retry_call
 
 __all__ = [
     "GuardedPrediction",
@@ -157,7 +149,6 @@ class _StageStats:
     # Overload-resilience accounting (only the learned stage uses these).
     deadline_exceeded: int = 0
     shed: int = 0
-    degraded_precision: int = 0
     ladder_fallback: int = 0
 
 
@@ -182,27 +173,17 @@ class GuardedCostPredictor:
         "heuristic")``.
     breaker_config:
         Trip threshold / cooldown shared by each stage's breaker.
-    retry_policy:
-        Bounded-backoff retry applied to the RAAL stage only (the
-        analytic stages are deterministic — retrying them is pointless).
-        Blown deadlines and shed requests are never retried.
     admission:
         Optional :class:`AdmissionController` bounding learned-model
         concurrency; sheds surface per ``shed_mode``.
     ladder:
-        Optional :class:`DegradationLadder` choosing the serving
-        precision tier from rolling learned-stage latency; coupled to
-        the RAAL breaker (open ⇒ ladder pinned to FALLBACK).
-    canary:
-        Optional :class:`AccuracyCanary` shadow-scoring degraded-tier
-        answers against the f64 path; a drift breach trips the ladder
-        back up.
+        Optional two-state :class:`DegradationLadder`; while it sits in
+        ``fallback`` the chain skips the learned model.
     quality:
         Optional :class:`~repro.obs.quality.AccuracyTracker` fed
         (prediction, observed runtime) pairs via
         :meth:`record_observation`; its drift detector — when drifting
-        — trips the ladder to FALLBACK (the learned model itself is
-        wrong, so no precision tier helps).
+        — trips the ladder to ``fallback``.
     audit:
         Optional :class:`~repro.obs.audit.AuditTrail`; every served
         request gets audit records (one per pair up to the trail's
@@ -222,8 +203,8 @@ class GuardedCostPredictor:
     shed_mode:
         ``"fallback"`` (default) serves shed requests from the analytic
         chain; ``"reject"`` raises :class:`~repro.errors.Overloaded`.
-    clock / sleep:
-        Injectable time sources for deterministic tests.
+    clock:
+        Injectable time source for deterministic tests.
     """
 
     def __init__(
@@ -232,10 +213,8 @@ class GuardedCostPredictor:
         gpsj: GPSJCostModel | None = None,
         chain: tuple[str, ...] = DEFAULT_CHAIN,
         breaker_config: BreakerConfig | None = None,
-        retry_policy: RetryPolicy | None = None,
         admission: AdmissionController | None = None,
         ladder: DegradationLadder | None = None,
-        canary: AccuracyCanary | None = None,
         quality: AccuracyTracker | None = None,
         audit: AuditTrail | None = None,
         slo: SLOTracker | None = None,
@@ -243,7 +222,6 @@ class GuardedCostPredictor:
         default_deadline_ms: float | None = None,
         shed_mode: str = "fallback",
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         unknown = set(chain) - set(DEFAULT_CHAIN)
         if unknown:
@@ -259,10 +237,8 @@ class GuardedCostPredictor:
         self.predictor = predictor
         self.gpsj = gpsj
         self.chain = tuple(chain)
-        self.retry_policy = retry_policy or RetryPolicy(attempts=2, base_delay=0.0)
         self.admission = admission
         self.ladder = ladder
-        self.canary = canary
         self.quality = quality
         self.audit = audit
         self.slo = slo
@@ -270,8 +246,6 @@ class GuardedCostPredictor:
         self.default_deadline_ms = default_deadline_ms
         self.shed_mode = shed_mode
         self._clock = clock
-        self._sleep = sleep
-        self._tier_predictors: dict[str, CostPredictor] = {}
         self.breakers = {
             stage: CircuitBreaker(config=breaker_config, clock=clock,
                                   on_transition=self._breaker_listener(stage))
@@ -279,20 +253,14 @@ class GuardedCostPredictor:
         }
         self.stats = {stage: _StageStats() for stage in self.chain}
 
-    def _breaker_listener(self, stage: str) -> Callable[[str, str], None]:
-        """Telemetry hook for one stage's breaker state changes.
-
-        The RAAL stage's transitions additionally drive the degradation
-        ladder: an open breaker pins it to FALLBACK, the half-open
-        probe releases it.
-        """
+    @staticmethod
+    def _breaker_listener(stage: str) -> Callable[[str, str], None]:
+        """Telemetry hook for one stage's breaker state changes."""
         def _on_transition(old: str, new: str) -> None:
             obs.inc(f"guard.{stage}.breaker_transitions_total",
                     help="Circuit breaker state changes")
             obs.emit_event("guard", "breaker_transition",
                            stage=stage, old=old, new=new)
-            if stage == "raal" and self.ladder is not None:
-                self.ladder.on_breaker_transition(old, new)
         return _on_transition
 
     # -- CostPredictor-compatible surface ---------------------------------
@@ -307,10 +275,8 @@ class GuardedCostPredictor:
         return self.predictor.trainer
 
     def close(self) -> None:
-        """Release worker pools held by the base and tier predictors."""
+        """Release worker pools held by the wrapped predictor."""
         self.predictor.close()
-        for predictor in self._tier_predictors.values():
-            predictor.close()
 
     def predict(self, plan: PhysicalPlan, resources: ResourceProfile,
                 deadline: Deadline | None = None) -> float:
@@ -382,20 +348,26 @@ class GuardedCostPredictor:
         if raal is not None:
             counts["deadline_exceeded"] = raal.deadline_exceeded
             counts["shed"] = raal.shed
-            counts["degraded_precision"] = raal.degraded_precision
             counts["ladder_fallback"] = raal.ladder_fallback
         return counts
 
     def health_state(self) -> dict[str, object]:
         """Live overload-resilience posture (``repro doctor`` and tests).
 
-        Summarizes the ladder rung, breaker states, and admission /
-        canary snapshots in one JSON-friendly dict.
+        Summarizes the ladder state, breaker states, and the admission /
+        quality / audit / SLO snapshots in one JSON-friendly dict. The
+        ladder reads ``fallback`` while the RAAL breaker is open — the
+        breaker owns that state, so it is read here rather than stored
+        a second time.
         """
+        raal = self.breakers.get("raal")
+        if raal is not None and raal.state == OPEN:
+            ladder = "fallback"
+        else:
+            ladder = self.ladder.state if self.ladder is not None else "healthy"
         state: dict[str, object] = {
-            "ladder": self.ladder.state if self.ladder is not None else "healthy",
-            "precision": (self.ladder.precision() if self.ladder is not None
-                          else self.predictor.config.precision),
+            "ladder": ladder,
+            "precision": self.predictor.config.precision,
             "breakers": {stage: breaker.state
                          for stage, breaker in self.breakers.items()},
             "shed_mode": self.shed_mode,
@@ -403,8 +375,6 @@ class GuardedCostPredictor:
         }
         if self.admission is not None:
             state["admission"] = self.admission.snapshot()
-        if self.canary is not None:
-            state["canary"] = self.canary.snapshot()
         if self.quality is not None:
             state["quality"] = self.quality.snapshot()
         if self.audit is not None:
@@ -427,9 +397,12 @@ class GuardedCostPredictor:
         counting against its breaker, since they say nothing about the
         model's health. Blown deadlines and admission sheds likewise
         degrade without tripping the breaker — they are load signals,
-        not model failures. Raises :class:`PredictionError` only when
-        every stage fails (or :class:`~repro.errors.Overloaded` when a
-        shed occurs under ``shed_mode="reject"``).
+        not model failures. While the ladder sits in ``fallback`` the
+        learned stage is skipped on the ``fast`` path; ``fast=False``
+        (the per-sample reference forward) always reaches it. Raises
+        :class:`PredictionError` only when every stage fails (or
+        :class:`~repro.errors.Overloaded` when a shed occurs under
+        ``shed_mode="reject"``).
         """
         if not pairs:
             return ExplainedPredictions(costs=np.zeros(0), source=self.chain[0])
@@ -443,7 +416,6 @@ class GuardedCostPredictor:
             for stage in self.chain:
                 breaker = self.breakers[stage]
                 stats = self.stats[stage]
-                tier: str | None = None
                 if stage == "raal":
                     problem = self._validate_inputs(pairs)
                     if problem is not None:
@@ -454,18 +426,15 @@ class GuardedCostPredictor:
                                        stage="raal", reason=problem)
                         reasons.append(f"raal: {problem}")
                         continue
-                    if self.ladder is not None and fast:
-                        tier = self.ladder.precision()
-                        if tier is None:
-                            stats.ladder_fallback += 1
-                            obs.inc("guard.raal.ladder_fallback_total",
-                                    help="Requests routed past the learned "
-                                         "model while the ladder sat in "
-                                         "FALLBACK")
-                            reasons.append("raal: ladder in fallback")
-                            continue
-                        if tier in ("f64", self.predictor.config.precision):
-                            tier = None  # healthy rung serves the base tier
+                    if (self.ladder is not None and fast
+                            and self.ladder.in_fallback()):
+                        stats.ladder_fallback += 1
+                        obs.inc("guard.raal.ladder_fallback_total",
+                                help="Requests routed past the learned "
+                                     "model while the ladder sat in "
+                                     "FALLBACK")
+                        reasons.append("raal: ladder in fallback")
+                        continue
                 if not breaker.allow():
                     stats.skipped_open += 1
                     obs.inc(f"guard.{stage}.skipped_open_total",
@@ -474,8 +443,8 @@ class GuardedCostPredictor:
                     continue
                 try:
                     if stage == "raal":
-                        costs = self._guarded_raal(pairs, fast=fast,
-                                                   deadline=deadline, tier=tier)
+                        costs = self._raal_costs(pairs, fast=fast,
+                                                 deadline=deadline)
                     else:
                         costs = self._run_stage(stage, pairs, fast=fast)
                 except Overloaded as exc:
@@ -508,12 +477,6 @@ class GuardedCostPredictor:
                 stats.served += 1
                 obs.inc(f"guard.{stage}.served_total",
                         help="Requests answered by this stage")
-                if stage == "raal" and tier is not None:
-                    stats.degraded_precision += 1
-                    obs.inc("guard.raal.degraded_precision_total",
-                            help="Learned answers served at a ladder-"
-                                 "degraded precision tier")
-                    reasons.append(f"raal: degraded_precision:{tier}")
                 degraded = stage != self.chain[0]
                 sp.annotate(source=stage, degraded=degraded)
                 if degraded:
@@ -523,7 +486,7 @@ class GuardedCostPredictor:
                                    reason="; ".join(reasons) or None)
                 reason = "; ".join(reasons) or None
                 request_id = self._record_served(
-                    pairs, costs, stage=stage, tier=tier, reason=reason,
+                    pairs, costs, stage=stage, reason=reason,
                     latency=self._clock() - started)
                 return ExplainedPredictions(
                     costs=costs, source=stage, reason=reason,
@@ -538,8 +501,7 @@ class GuardedCostPredictor:
 
     # -- the feedback loop -------------------------------------------------
     def _record_served(self, pairs, costs: np.ndarray, stage: str,
-                       tier: str | None, reason: str | None,
-                       latency: float) -> str | None:
+                       reason: str | None, latency: float) -> str | None:
         """Audit the served answers and feed the latency SLO (best effort)."""
         obs.observe("guard.latency_seconds", latency,
                     help="End-to-end guarded request latency")
@@ -548,10 +510,7 @@ class GuardedCostPredictor:
         if self.audit is None:
             return None
         request_id = self.audit.next_request_id()
-        if stage == "raal":
-            served_tier = tier or self.predictor.config.precision
-        else:
-            served_tier = None
+        served_tier = self.predictor.config.precision if stage == "raal" else None
         for i, (plan, resources) in enumerate(pairs):
             try:
                 fingerprint = plan_fingerprint(plan)
@@ -606,11 +565,10 @@ class GuardedCostPredictor:
 
         Called after every quality-tracked feedback sample: while the
         detector reports drift, the learned model's answers are not
-        trusted at *any* precision tier, so the ladder is (re-)tripped
-        to FALLBACK. The ladder's dwell probe still climbs back
-        periodically; if the feedback stream keeps drifting the next
-        sample trips it again, and once the detector recovers the probe
-        sticks.
+        trusted, so the ladder is (re-)tripped to FALLBACK. The ladder's
+        dwell probe still returns periodically; if the feedback stream
+        keeps drifting the next sample trips it again, and once the
+        detector recovers the probe sticks.
         """
         if self.quality is None or self.ladder is None:
             return
@@ -624,97 +582,37 @@ class GuardedCostPredictor:
             return self._gpsj_costs(pairs)
         return self._heuristic_costs(pairs)
 
-    def _guarded_raal(self, pairs, fast: bool, deadline: Deadline | None,
-                      tier: str | None) -> np.ndarray:
-        """Admission-gated, ladder-tiered, retried learned prediction.
-
-        Learned-stage latency feeds the ladder on success *and* on a
-        blown deadline — overruns are exactly the signal that should
-        push it down. Generic failures do not feed it (the breaker owns
-        those).
-        """
-        def _on_retry(retry_index: int, exc: BaseException) -> None:
-            obs.inc("guard.raal.retry_attempts_total",
-                    help="Transient-fault retries of the learned model")
-            obs.emit_event("guard", "retry", stage="raal",
-                           attempt=retry_index + 1, error=str(exc))
-
+    def _raal_costs(self, pairs, fast: bool,
+                    deadline: Deadline | None) -> np.ndarray:
+        """Admission-gated learned prediction with output validation."""
         admit = (self.admission.admit(deadline)
                  if self.admission is not None else nullcontext())
         with admit:
-            start = self._clock()
-            try:
-                costs = retry_call(
-                    lambda: self._raal_costs(pairs, fast=fast,
-                                             deadline=deadline, tier=tier),
-                    policy=self.retry_policy, sleep=self._sleep,
-                    give_up_on=(DeadlineExceeded, Overloaded),
-                    on_retry=_on_retry)
-            except DeadlineExceeded:
-                if self.ladder is not None:
-                    self.ladder.record(self._clock() - start)
-                raise
-            if self.ladder is not None:
-                self.ladder.record(self._clock() - start)
-            return costs
-
-    def _tier_predictor(self, tier: str | None) -> CostPredictor:
-        """The serving predictor for a ladder tier (base config when None)."""
-        if tier is None or tier == self.predictor.config.precision:
-            return self.predictor
-        cached = self._tier_predictors.get(tier)
-        if cached is None:
-            cached = self.predictor.configured(
-                replace(self.predictor.config, precision=tier))
-            self._tier_predictors[tier] = cached
-        return cached
-
-    def _raal_costs(self, pairs, fast: bool, deadline: Deadline | None = None,
-                    tier: str | None = None) -> np.ndarray:
-        encoded = self.predictor.encoder.encode_many(pairs)
-        bad = [i for i, e in enumerate(encoded)
-               if not (np.all(np.isfinite(e.node_features))
-                       and np.all(np.isfinite(e.resources))
-                       and np.all(np.isfinite(e.extras)))]
-        if bad:
-            raise PredictionError(
-                f"non-finite encoded features for {len(bad)} of "
-                f"{len(encoded)} samples (first at index {bad[0]})")
-        if deadline is not None:
-            deadline.check("after encode")
-        # Route through the (possibly ladder-degraded) configured engine
-        # so precision tier and bucket threading apply under the guard.
-        serving = self._tier_predictor(tier)
-        costs = serving.predict_encoded(encoded, fast=fast, deadline=deadline)
+            encoded = self.predictor.encoder.encode_many(pairs)
+            bad = [i for i, e in enumerate(encoded)
+                   if not (np.all(np.isfinite(e.node_features))
+                           and np.all(np.isfinite(e.resources))
+                           and np.all(np.isfinite(e.extras)))]
+            if bad:
+                raise PredictionError(
+                    f"non-finite encoded features for {len(bad)} of "
+                    f"{len(encoded)} samples (first at index {bad[0]})")
+            if deadline is not None:
+                deadline.check("after encode")
+            costs = self.predictor.predict_encoded(encoded, fast=fast,
+                                                   deadline=deadline)
         if not np.all(np.isfinite(costs)):
             raise PredictionError("model produced non-finite costs")
-        saturated = getattr(self.predictor.trainer, "last_saturated", 0)
+        # Saturation is read off this call's own answers: a cost at the
+        # clamp ceiling came from a log-prediction at or past the clamp.
+        ceiling = np.expm1(np.asarray(
+            self.predictor.trainer.config.log_clamp_max, dtype=costs.dtype))
+        saturated = int(np.count_nonzero(costs >= ceiling))
         if saturated:
             raise PredictionError(
                 f"model output saturated the log-cost clamp for "
                 f"{saturated} of {len(costs)} samples")
-        if (tier is not None and self.canary is not None
-                and self.canary.should_sample()):
-            self._shadow_canary(encoded, costs, tier)
         return costs
-
-    def _shadow_canary(self, encoded, costs: np.ndarray, tier: str) -> None:
-        """Shadow-score a degraded answer on the f64 path (best effort).
-
-        Runs without a deadline — the shadow is sampled bookkeeping, not
-        part of the serving path — and swallows its own failures.
-        """
-        try:
-            reference = self._tier_predictor("f64").predict_encoded(encoded)
-        except Exception as exc:
-            obs.inc("canary.errors_total",
-                    help="Canary shadow predictions that failed")
-            obs.emit_event("canary", "shadow_error", error=str(exc))
-            return
-        tripped = self.canary.observe(np.asarray(costs),
-                                      np.asarray(reference), tier)
-        if tripped and self.ladder is not None:
-            self.ladder.trip_accuracy(f"canary drift on tier {tier}")
 
     def _gpsj_costs(self, pairs) -> np.ndarray:
         if self.gpsj is None:

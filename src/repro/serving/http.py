@@ -97,6 +97,11 @@ _STATUS_MAP = (
 )
 
 
+#: Largest request body accepted; a bigger declared length is refused
+#: before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
+
+
 def _status_for(exc: BaseException) -> int:
     for kind, status in _STATUS_MAP:
         if isinstance(exc, kind):
@@ -107,6 +112,10 @@ def _status_for(exc: BaseException) -> int:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # Socket timeout (seconds) for every read and write on a connection:
+    # a client that declares more body than it sends, or idles on a
+    # keep-alive connection, frees its handler thread after this long.
+    timeout = 30.0
     # Set by ReproHTTPServer; class attribute so the stdlib handler
     # factory (which only passes socket args) can reach the service.
     service: PredictionService
@@ -133,13 +142,31 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body is left unread, so the stream cannot be reused.
+            self.close_connection = True
+            raise ServingError(
+                f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}],"
+                f" got {declared!r}")
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raw = b""
+        if len(raw) < length:
+            self.close_connection = True
+            raise ServingError(
+                f"request body ended before its Content-Length of {length} "
+                f"bytes")
         if not raw:
             return {}
         try:
             body = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8
             raise ServingError(f"request body is not valid JSON: {exc}")
         if not isinstance(body, dict):
             raise ServingError("request body must be a JSON object")

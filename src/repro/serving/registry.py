@@ -56,7 +56,6 @@ from repro.obs.audit import AuditTrail
 from repro.obs.quality import AccuracyTracker, DriftDetector
 from repro.obs.slo import SLO, SLOTracker
 from repro.reliability.admission import AdmissionController
-from repro.reliability.canary import AccuracyCanary
 from repro.reliability.deadline import Deadline
 from repro.reliability.guard import GuardedCostPredictor
 from repro.reliability.ladder import DegradationLadder
@@ -409,7 +408,7 @@ def default_guard_builder(catalog, workload: str | None = None,
     Returns a ``build_guard_factory`` for :class:`ModelRegistry`: per
     shard it creates one shared audit trail and SLO tracker, and per
     model version a fully armed guard (GPSJ fallback, admission
-    control, degradation ladder, accuracy canary, quality tracking).
+    control, degradation ladder, quality tracking).
     """
     def factory(model_id: str) -> Callable:
         audit = AuditTrail()
@@ -426,7 +425,6 @@ def default_guard_builder(catalog, workload: str | None = None,
                 gpsj=GPSJCostModel(catalog) if catalog is not None else None,
                 admission=AdmissionController(admission_config),
                 ladder=DegradationLadder(),
-                canary=AccuracyCanary(),
                 quality=AccuracyTracker(drift=DriftDetector()),
                 audit=audit,
                 slo=slo,

@@ -25,10 +25,11 @@ Request flow for ``predict``:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from repro import obs
 from repro.cluster.resources import PAPER_CLUSTER, ResourceProfile
 from repro.core.persistence import load_predictor
 from repro.core.predictor import CostPredictor, PredictorConfig
-from repro.errors import ReproError, ServingError
+from repro.errors import ServingError
 from repro.plan.builder import analyze
 from repro.plan.enumerator import enumerate_plans
 from repro.reliability.admission import AdmissionConfig
@@ -54,6 +55,24 @@ DEFAULT_MODEL_ID = "default"
 _PROFILE_KEYS = ("nodes", "cores_per_node", "executors", "executor_cores",
                  "executor_memory_gb", "network_throughput_mbps",
                  "disk_throughput_mbps")
+_INT_PROFILE_KEYS = frozenset(("nodes", "cores_per_node", "executors",
+                               "executor_cores"))
+
+
+def _number(name: str, value, integer: bool = False) -> float | int:
+    """``value`` as a finite JSON number; booleans are not numbers."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ServingError(f"{name!r} must be a finite number, got {value!r}")
+    if integer:
+        if value != int(value):
+            raise ServingError(f"{name!r} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -204,18 +223,9 @@ class PredictionService:
                 f"unknown resource fields {sorted(unknown)}; expected "
                 f"{list(_PROFILE_KEYS)} (or 'memory_gb')")
         fields.update(resources)
-        try:
-            return ResourceProfile(
-                nodes=int(fields["nodes"]),
-                cores_per_node=int(fields["cores_per_node"]),
-                executors=int(fields["executors"]),
-                executor_cores=int(fields["executor_cores"]),
-                executor_memory_gb=float(fields["executor_memory_gb"]),
-                network_throughput_mbps=float(
-                    fields["network_throughput_mbps"]),
-                disk_throughput_mbps=float(fields["disk_throughput_mbps"]))
-        except (TypeError, ValueError) as exc:
-            raise ServingError(f"invalid resource profile: {exc}") from exc
+        return ResourceProfile(**{
+            key: _number(key, value, integer=key in _INT_PROFILE_KEYS)
+            for key, value in fields.items()})
 
     def _deadline(self, body: dict) -> Deadline | None:
         deadline_ms = body.get("deadline_ms")
@@ -223,12 +233,7 @@ class PredictionService:
             deadline_ms = self.config.default_deadline_ms
         if deadline_ms is None:
             return None
-        try:
-            deadline_ms = float(deadline_ms)
-        except (TypeError, ValueError) as exc:
-            raise ServingError(
-                f"'deadline_ms' must be a number, got {deadline_ms!r}"
-            ) from exc
+        deadline_ms = _number("deadline_ms", deadline_ms)
         if deadline_ms <= 0:
             raise ServingError(f"'deadline_ms' must be > 0, got {deadline_ms}")
         # Created before queueing so batch-window wait counts against
@@ -384,9 +389,9 @@ class PredictionService:
     def health(self) -> dict:
         """Liveness + posture for ``GET /healthz``.
 
-        ``status`` is ``ok`` when every shard's ladder sits on its
-        healthy rung, ``degraded`` when any shard is degraded or
-        fallen back, and ``draining`` during shutdown.
+        ``status`` is ``ok`` when every shard's ladder is ``healthy``,
+        ``degraded`` when any shard has fallen back (drift trip, or an
+        open RAAL breaker), and ``draining`` during shutdown.
         """
         models: dict[str, dict] = {}
         worst = "ok"

@@ -22,7 +22,6 @@ from repro.reliability import (
     BreakerConfig,
     FaultInjector,
     GuardedCostPredictor,
-    RetryPolicy,
 )
 
 
@@ -148,14 +147,12 @@ class TestPredictionSpanTree:
 
 
 class TestGuardTelemetry:
-    def make_guard(self, predictor, pipeline, attempts=1, threshold=2):
+    def make_guard(self, predictor, pipeline, threshold=2):
         return GuardedCostPredictor(
             predictor,
             gpsj=GPSJCostModel(pipeline.catalog),
             breaker_config=BreakerConfig(failure_threshold=threshold,
                                          cooldown_seconds=30.0),
-            retry_policy=RetryPolicy(attempts=attempts),
-            sleep=lambda _s: None,
         )
 
     def test_healthy_guarded_predict_annotates_source(
@@ -225,17 +222,6 @@ class TestGuardTelemetry:
         assert reg.counter("guard.degraded_total").value == counts["degraded"]
         assert reg.counter("guard.raal.failures_total").value == \
             counts["raal.failures"]
-
-    def test_retry_attempts_emit_events(
-            self, fresh_predictor, pipeline, telemetry):
-        guard = self.make_guard(fresh_predictor, pipeline, attempts=3)
-        FaultInjector().force_encode_errors(guard.encoder)
-        record = pipeline.records[0]
-        guard.predict_many_explained([(record.plan, record.resources)])
-        retries = telemetry.events.events(component="guard", event="retry")
-        assert [r["attempt"] for r in retries] == [1, 2]
-        assert telemetry.registry.counter(
-            "guard.raal.retry_attempts_total").value == 2
 
     def test_rejected_input_event(self, fresh_predictor, pipeline, telemetry):
         fresh_predictor.encoder.structure.max_nodes = 1

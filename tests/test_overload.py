@@ -1,6 +1,6 @@
 """Tests for the overload-resilience layer: deadlines, admission
-control, the precision-degradation ladder, the accuracy canary, and
-their integration into the guarded prediction chain.
+control, the two-state degradation ladder, and their integration into
+the guarded prediction chain.
 
 Time-driven behaviour runs on injected fake clocks wherever possible;
 the few tests that exercise real thread abandonment use generous
@@ -20,11 +20,8 @@ from repro.core.execution import BucketExecutor
 from repro.core.predictor import PredictorConfig
 from repro.errors import DeadlineExceeded, Overloaded, ReproError, TrainingError
 from repro.eval.experiments import SMOKE, ExperimentPipeline
-from repro.nn.precision import inference_weights, invalidate_inference_cache
 from repro.reliability import (
     CLOSED,
-    OPEN,
-    AccuracyCanary,
     AdmissionConfig,
     AdmissionController,
     BreakerConfig,
@@ -33,8 +30,6 @@ from repro.reliability import (
     FaultInjector,
     GuardedCostPredictor,
     LadderConfig,
-    RetryPolicy,
-    retry_call,
 )
 
 
@@ -156,147 +151,52 @@ class TestAdmission:
 
 
 # -- degradation ladder ----------------------------------------------------
-def fast_ladder(clock, **overrides) -> DegradationLadder:
-    config = dict(degrade_p99=0.010, window=4, min_samples=2,
-                  hold_seconds=0.0, quarantine_seconds=30.0)
-    config.update(overrides)
-    return DegradationLadder(LadderConfig(**config), clock=clock)
-
-
-def push_down(ladder: DegradationLadder, rungs: int = 1) -> None:
-    """Feed slow samples until the ladder drops ``rungs`` times."""
-    for _ in range(rungs):
-        start = ladder.rung
-        for _ in range(8):
-            ladder.record(0.05)
-            if ladder.rung != start:
-                break
-        assert ladder.rung == start + 1
+def tripped_ladder(clock, hold_seconds: float = 2.0) -> DegradationLadder:
+    ladder = DegradationLadder(LadderConfig(hold_seconds=hold_seconds),
+                               clock=clock)
+    ladder.trip_drift("test drift")
+    return ladder
 
 
 class TestLadder:
-    def test_steps_down_on_high_p99(self):
-        ladder = fast_ladder(FakeClock())
-        assert ladder.state == "healthy" and ladder.precision() == "f64"
-        push_down(ladder)
-        assert ladder.state == "degraded_f32" and ladder.precision() == "f32"
-        push_down(ladder)
-        assert ladder.state == "degraded_int8" and ladder.precision() == "int8"
-        push_down(ladder)
-        assert ladder.state == "fallback"
-        # With a zero hold the FALLBACK auto-probe fires on the very
-        # next read (the hold-gated case is covered below).
-        assert ladder.precision() == "int8"
-
-    def test_recovers_hysteretically(self):
-        clock = FakeClock()
-        ladder = fast_ladder(clock, hold_seconds=2.0)
-        clock.advance(3.0)
-        push_down(ladder)
-        # Fast samples inside the hold window must not promote.
-        clock.advance(1.0)
-        for _ in range(4):
-            ladder.record(0.001)
-        assert ladder.state == "degraded_f32"
-        # Past the hold, samples between recover and degrade thresholds
-        # (the hysteresis band) still hold the rung...
-        clock.advance(2.0)
-        for _ in range(4):
-            ladder.record(0.008)
-        assert ladder.state == "degraded_f32"
-        # ...and only genuinely fast samples promote.
-        for _ in range(4):
-            ladder.record(0.001)
-            if ladder.state == "healthy":
-                break
-        assert ladder.state == "healthy"
-
     def test_fallback_probes_up_on_dwell_alone(self):
         clock = FakeClock()
-        ladder = fast_ladder(clock, hold_seconds=2.0)
-        for _ in range(3):
-            clock.advance(2.5)  # satisfy the dwell before each step
-            push_down(ladder)
+        ladder = tripped_ladder(clock)
         assert ladder.state == "fallback"
-        assert ladder.precision() is None  # still inside the hold
-        clock.advance(2.5)
-        assert ladder.precision() == "int8"  # auto-probe after dwell
-        assert ladder.state == "degraded_int8"
-
-    def test_breaker_open_pins_fallback(self):
-        clock = FakeClock()
-        ladder = fast_ladder(clock)
-        ladder.on_breaker_transition("closed", "open")
-        assert ladder.state == "fallback"
-        # Pinned: dwell-based probing must not escape while open.
-        clock.advance(100.0)
-        assert ladder.precision() is None
-        ladder.on_breaker_transition("open", "half_open")
-        assert ladder.state == "degraded_int8"
-
-    def test_accuracy_trip_quarantines_the_rung(self):
-        clock = FakeClock()
-        ladder = fast_ladder(clock, quarantine_seconds=30.0)
-        push_down(ladder, rungs=2)
-        assert ladder.state == "degraded_int8"
-        ladder.trip_accuracy("test drift")
-        assert ladder.state == "degraded_f32"
-        # Latency pressure cannot push back onto the quarantined rung.
-        for _ in range(8):
-            ladder.record(0.05)
-        assert ladder.state == "degraded_f32"
-        # After the quarantine expires it can.
-        clock.advance(31.0)
-        push_down(ladder)
-        assert ladder.state == "degraded_int8"
+        clock.advance(1.0)
+        assert ladder.in_fallback()  # still inside the hold
+        clock.advance(1.5)
+        assert not ladder.in_fallback()  # auto-probe after dwell
+        assert ladder.state == "healthy"
 
     def test_transitions_recorded_with_reasons(self):
-        ladder = fast_ladder(FakeClock())
-        push_down(ladder)
-        assert len(ladder.history) == 1
-        transition = ladder.history[0]
-        assert (transition.old, transition.new) == ("healthy", "degraded_f32")
-        assert "p99" in transition.reason
+        clock = FakeClock()
+        ladder = tripped_ladder(clock)
+        ladder.trip_drift("again")  # already fallen back: no transition
+        clock.advance(2.0)
+        ladder.in_fallback()
+        assert [(t.old, t.new, t.reason) for t in ladder.history] == [
+            ("healthy", "fallback", "drift trip: test drift"),
+            ("fallback", "healthy", "fallback probe after hold"),
+        ]
 
+    def test_negative_hold_rejected(self):
+        with pytest.raises(ReproError, match="hold_seconds"):
+            LadderConfig(hold_seconds=-1.0)
 
-# -- accuracy canary -------------------------------------------------------
-class TestCanary:
-    def test_drift_is_max_relative_deviation(self):
-        drift = AccuracyCanary.drift(np.array([1.0, 2.2]), np.array([1.0, 2.0]))
-        assert drift == pytest.approx(0.1)
-
-    def test_observe_trips_past_budget(self):
-        canary = AccuracyCanary(sample_rate=1.0, budget=0.05)
-        assert not canary.observe(np.array([1.04]), np.array([1.0]), "int8")
-        assert canary.observe(np.array([1.10]), np.array([1.0]), "int8")
-        snap = canary.snapshot()
-        assert snap["samples"] == 2 and snap["trips"] == 1
-        assert snap["last_drift"] == pytest.approx(0.1)
-
-    def test_sampling_rates_and_determinism(self):
-        assert not AccuracyCanary(sample_rate=0.0).should_sample()
-        assert AccuracyCanary(sample_rate=1.0).should_sample()
-        a = [AccuracyCanary(sample_rate=0.5, seed=7).should_sample()
-             for _ in range(1)]
-        b = [AccuracyCanary(sample_rate=0.5, seed=7).should_sample()
-             for _ in range(1)]
-        assert a == b
-
-
-# -- retry interaction -----------------------------------------------------
-class TestRetryGiveUp:
-    def test_give_up_exceptions_are_never_retried(self):
-        calls = []
-
-        def blown():
-            calls.append(1)
-            raise DeadlineExceeded("budget gone")
-
-        with pytest.raises(DeadlineExceeded):
-            retry_call(blown, policy=RetryPolicy(attempts=5, base_delay=0.0),
-                       give_up_on=(DeadlineExceeded, Overloaded),
-                       sleep=lambda s: None)
-        assert len(calls) == 1
+    def test_breaker_open_pins_fallback(self, predictor, pipeline):
+        clock = FakeClock()
+        ladder = DegradationLadder(clock=clock)
+        guard = make_guard(predictor, pipeline, ladder=ladder, clock=clock,
+                           breaker_config=BreakerConfig(
+                               failure_threshold=1, cooldown_seconds=10.0))
+        guard.breakers["raal"].record_failure()
+        # Reported from the breaker, not stored in the ladder.
+        assert guard.health_state()["ladder"] == "fallback"
+        assert ladder.state == "healthy" and not ladder.history
+        clock.advance(11.0)
+        assert guard.breakers["raal"].allow()  # half-open probe
+        assert guard.health_state()["ladder"] == "healthy"
 
 
 # -- model-backed fixtures -------------------------------------------------
@@ -388,8 +288,6 @@ class TestExecutorPropagation:
 
 # -- guarded chain integration ---------------------------------------------
 def make_guard(predictor, pipeline, **kwargs) -> GuardedCostPredictor:
-    kwargs.setdefault("retry_policy", RetryPolicy(attempts=1))
-    kwargs.setdefault("sleep", lambda s: None)
     return GuardedCostPredictor(
         predictor, gpsj=GPSJCostModel(pipeline.catalog), **kwargs)
 
@@ -463,67 +361,42 @@ class TestGuardOverload:
         with pytest.raises(Exception, match="shed_mode"):
             make_guard(predictor, pipeline, shed_mode="explode")
 
-    def test_degraded_tier_serves_raal_with_provenance(
-            self, predictor, pipeline):
-        clock = FakeClock()
-        ladder = fast_ladder(clock)
-        push_down(ladder)  # force the f32 rung
-        guard = make_guard(predictor, pipeline, ladder=ladder, clock=clock)
-        record = pipeline.records[0]
-        result = guard.predict_explained(record.plan, record.resources)
-        assert result.source == "raal"  # still the learned model...
-        assert "degraded_precision:f32" in result.reason  # ...but degraded
-        counts = guard.degradation_counts()
-        assert counts["degraded_precision"] == 1
-        assert counts["raal.served"] == 1
+    def test_serves_configured_precision_without_degrading(
+            self, predictor, pipeline, pairs):
+        f32 = predictor.configured(PredictorConfig(precision="f32"))
+        try:
+            guard = make_guard(f32, pipeline, ladder=DegradationLadder())
+            result = guard.predict_many_explained(pairs)
+            assert result.source == "raal" and result.reason is None
+            np.testing.assert_array_equal(result.costs,
+                                          f32.predict_many(pairs))
+            assert guard.health_state()["precision"] == "f32"
+        finally:
+            f32.close()
 
     def test_ladder_fallback_skips_learned_model(self, predictor, pipeline):
         clock = FakeClock()
-        ladder = fast_ladder(clock, hold_seconds=1000.0)
-        ladder.on_breaker_transition("closed", "open")  # pin to fallback
+        ladder = tripped_ladder(clock, hold_seconds=1000.0)
         guard = make_guard(predictor, pipeline, ladder=ladder, clock=clock)
         record = pipeline.records[0]
         result = guard.predict_explained(record.plan, record.resources)
         assert result.source == "gpsj"
         assert "ladder in fallback" in result.reason
         assert guard.degradation_counts()["ladder_fallback"] == 1
-
-    def test_canary_trips_ladder_on_corrupt_tier(self, predictor, pipeline):
-        model = predictor.trainer.model
-        clock = FakeClock()
-        ladder = fast_ladder(clock)
-        push_down(ladder, rungs=2)  # force the int8 rung
-        canary = AccuracyCanary(sample_rate=1.0, budget=0.05)
-        guard = make_guard(predictor, pipeline, ladder=ladder, canary=canary,
-                           clock=clock)
-        inference_weights(model, "int8")  # build the cached bundle
-        injector = FaultInjector()
-        try:
-            corrupted = injector.corrupt_precision_cache(
-                model, "int8", magnitude=0.5)
-            assert corrupted > 0
-            record = pipeline.records[0]
-            result = guard.predict_explained(record.plan, record.resources)
-            # Served from the corrupt tier, but the shadow sample caught it:
-            assert "degraded_precision:int8" in result.reason
-            assert canary.snapshot()["trips"] >= 1
-            assert ladder.state == "degraded_f32"  # stepped up + quarantined
-        finally:
-            invalidate_inference_cache(model)
+        assert guard.health_state()["ladder"] == "fallback"
 
     def test_health_state_reports_posture(self, predictor, pipeline):
         clock = FakeClock()
         guard = make_guard(
             predictor, pipeline, clock=clock,
             admission=AdmissionController(clock=clock),
-            ladder=fast_ladder(clock), canary=AccuracyCanary(),
+            ladder=DegradationLadder(clock=clock),
             default_deadline_ms=100.0)
         health = guard.health_state()
         assert health["ladder"] == "healthy"
         assert health["precision"] == "f64"
         assert health["breakers"]["raal"] == CLOSED
         assert health["admission"]["in_flight"] == 0
-        assert health["canary"]["samples"] == 0
         assert health["default_deadline_ms"] == 100.0
 
 
@@ -547,30 +420,6 @@ class TestThreadAwareFaults:
         with pytest.raises(ReproError):
             FaultInjector().force_bucket_hang(predictor.trainer.model, -1.0)
 
-    def test_corrupt_precision_cache_requires_bundle(self, predictor):
-        model = predictor.trainer.model
-        invalidate_inference_cache(model)
-        with pytest.raises(ReproError, match="no cached"):
-            FaultInjector().corrupt_precision_cache(model, "int8")
-        with pytest.raises(ReproError, match="cached tiers"):
-            FaultInjector().corrupt_precision_cache(model, "f64")
-
-    def test_corrupt_precision_cache_survives_fingerprint(
-            self, predictor, pairs):
-        model = predictor.trainer.model
-        int8 = predictor.configured(PredictorConfig(precision="int8"))
-        try:
-            clean = int8.predict_many(pairs[:2])
-            FaultInjector().corrupt_precision_cache(model, "int8",
-                                                    magnitude=0.5)
-            corrupt = int8.predict_many(pairs[:2])
-            # The fingerprint still matches, so the corrupted bundle is
-            # served — and drifts far beyond the canary budget.
-            assert AccuracyCanary.drift(corrupt, clean) > 0.05
-        finally:
-            int8.close()
-            invalidate_inference_cache(model)
-
     def test_queue_saturation_holds_and_releases(self):
         ctl = AdmissionController(AdmissionConfig(max_in_flight=3))
         restore = FaultInjector().force_queue_saturation(ctl)
@@ -587,14 +436,12 @@ class TestOverloadMetricsExport:
         telemetry = obs.Telemetry.create()
         with obs.attached(telemetry):
             clock = FakeClock()
-            ladder = fast_ladder(clock)
+            ladder = DegradationLadder(clock=clock)
             admission = AdmissionController(
                 AdmissionConfig(max_in_flight=1, max_queue_depth=0),
                 clock=clock)
-            canary = AccuracyCanary(sample_rate=1.0, budget=0.05)
             guard = make_guard(predictor, pipeline, ladder=ladder,
-                               admission=admission, canary=canary,
-                               clock=clock)
+                               admission=admission, clock=clock)
             record = pipeline.records[0]
             # One shed:
             restore = FaultInjector().force_queue_saturation(admission)
@@ -623,25 +470,23 @@ class TestOverloadMetricsExport:
                 restore()
                 executor.close()
             # One ladder transition:
-            push_down(ladder)
-            # One canary observation:
-            canary.observe(np.array([1.1]), np.array([1.0]), "int8")
+            ladder.trip_drift("test drift")
 
         registry = telemetry.registry
         for name in ("predict.shed_total", "predict.deadline_exceeded_total",
                      "guard.raal.deadline_exceeded_total", "health.state",
-                     "canary.drift_ratio", "ladder.transitions_total",
+                     "guard.latency_seconds", "ladder.transitions_total",
                      "admission.in_flight"):
             assert name in registry, f"missing metric {name}"
         assert registry.get("predict.shed_total").value == 1
-        assert registry.get("health.state").value == 1  # degraded_f32
-        assert registry.get("canary.drift_ratio").count == 1
+        assert registry.get("health.state").value == 1  # fallback
+        assert registry.get("guard.latency_seconds").count == 2
 
         json_text = registry.to_json()
         prom_text = registry.to_prometheus()
         for name in ("predict.shed_total", "predict.deadline_exceeded_total",
-                     "health.state", "canary.drift_ratio"):
+                     "health.state", "guard.latency_seconds"):
             assert name in json_text
             assert name.replace(".", "_") in prom_text
         # Histogram buckets render cumulatively in the Prometheus text.
-        assert "canary_drift_ratio_bucket" in prom_text
+        assert "guard_latency_seconds_bucket" in prom_text

@@ -1,8 +1,8 @@
-"""Tests for the reliability layer: retry, circuit breaker, and the
-guarded prediction fallback chain under deterministic fault injection.
+"""Tests for the reliability layer: circuit breaker and the guarded
+prediction fallback chain under deterministic fault injection.
 
-No test here sleeps: clocks and sleep functions are injected fakes, and
-every fault is seeded.
+No test here sleeps: clocks are injected fakes, and every fault is
+seeded.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 from repro.core import CostPredictor
 from repro.core.selector import PlanSelector
 from repro.core.advisor import ResourceAdvisor
-from repro.errors import PredictionError, ReproError
+from repro.errors import PredictionError
 from repro.baselines.gpsj import GPSJCostModel
 from repro.eval.experiments import SMOKE, ExperimentPipeline
 from repro.reliability import (
@@ -22,9 +22,6 @@ from repro.reliability import (
     CircuitBreaker,
     FaultInjector,
     GuardedCostPredictor,
-    RetryPolicy,
-    compute_backoff,
-    retry_call,
     static_heuristic_cost,
 )
 
@@ -42,70 +39,6 @@ class FakeClock:
         self.now += seconds
 
 
-class FakeSleep:
-    """Records requested sleeps instead of sleeping."""
-
-    def __init__(self) -> None:
-        self.calls: list[float] = []
-
-    def __call__(self, seconds: float) -> None:
-        self.calls.append(seconds)
-
-
-# -- retry -----------------------------------------------------------------
-class TestRetry:
-    def test_backoff_schedule(self):
-        policy = RetryPolicy(attempts=4, base_delay=0.1, multiplier=2.0, max_delay=0.3)
-        assert compute_backoff(policy, 0) == pytest.approx(0.1)
-        assert compute_backoff(policy, 1) == pytest.approx(0.2)
-        assert compute_backoff(policy, 2) == pytest.approx(0.3)  # capped
-
-    def test_success_after_transient_failures(self):
-        sleep = FakeSleep()
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise ValueError("transient")
-            return 42
-
-        result = retry_call(flaky, RetryPolicy(attempts=3, base_delay=0.05),
-                            sleep=sleep)
-        assert result == 42
-        assert calls["n"] == 3
-        assert sleep.calls == pytest.approx([0.05, 0.1])
-
-    def test_exhausted_attempts_raise_last_error(self):
-        sleep = FakeSleep()
-
-        def always_fails():
-            raise ValueError("permanent")
-
-        with pytest.raises(ValueError, match="permanent"):
-            retry_call(always_fails, RetryPolicy(attempts=3, base_delay=0.01),
-                       sleep=sleep)
-        assert len(sleep.calls) == 2  # no sleep after the final attempt
-
-    def test_non_matching_exception_propagates_immediately(self):
-        sleep = FakeSleep()
-
-        def boom():
-            raise KeyError("nope")
-
-        with pytest.raises(KeyError):
-            retry_call(boom, RetryPolicy(attempts=5), retry_on=(ValueError,),
-                       sleep=sleep)
-        assert sleep.calls == []
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ReproError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ReproError):
-            RetryPolicy(multiplier=0.5)
-
-
-# -- circuit breaker -------------------------------------------------------
 class TestCircuitBreaker:
     def make(self, threshold=3, cooldown=10.0):
         clock = FakeClock()
@@ -193,9 +126,7 @@ def guarded(fresh_predictor, pipeline):
         fresh_predictor,
         gpsj=GPSJCostModel(pipeline.catalog),
         breaker_config=BreakerConfig(failure_threshold=2, cooldown_seconds=30.0),
-        retry_policy=RetryPolicy(attempts=1),
         clock=clock,
-        sleep=FakeSleep(),
     )
     guard._test_clock = clock
     return guard
@@ -248,9 +179,7 @@ class TestGuardedPredictor:
 
     def test_all_stages_failing_raises_prediction_error(
             self, fresh_predictor, pipeline):
-        guard = GuardedCostPredictor(fresh_predictor, chain=("raal",),
-                                     retry_policy=RetryPolicy(attempts=1),
-                                     sleep=FakeSleep())
+        guard = GuardedCostPredictor(fresh_predictor, chain=("raal",))
         FaultInjector().force_encode_errors(guard.encoder)
         record = pipeline.records[0]
         with pytest.raises(PredictionError, match="all fallback stages failed"):
@@ -287,8 +216,7 @@ class TestGuardedPredictor:
         # Shrink the encoder's capacity below the plan's node count.
         fresh_predictor.encoder.structure.max_nodes = 1
         guard = GuardedCostPredictor(
-            fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog),
-            sleep=FakeSleep())
+            fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog))
         record = pipeline.records[0]
         result = guard.predict_explained(record.plan, record.resources)
         assert result.source == "gpsj"
@@ -305,8 +233,50 @@ class TestGuardedPredictor:
         tiny = replace(fresh_predictor.trainer.config, log_clamp_max=1e-9)
         fresh_predictor.trainer = Trainer(fresh_predictor.trainer.model, tiny)
         guard = GuardedCostPredictor(
-            fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog),
-            retry_policy=RetryPolicy(attempts=1), sleep=FakeSleep())
+            fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog))
+        record = pipeline.records[0]
+        result = guard.predict_explained(record.plan, record.resources)
+        assert result.source == "gpsj"
+        assert "saturated" in result.reason
+
+    @staticmethod
+    def _interleave(predictor, other_log_preds):
+        """Score another caller's batch on the shared trainer mid-request.
+
+        Wraps ``predict_encoded`` so that, after this request's own
+        forward, a concurrent caller's log-predictions go through the
+        same trainer's clamp before this request's costs are returned.
+        """
+        original = predictor.predict_encoded
+        trainer = predictor.trainer
+
+        def interleaved(encoded, **kwargs):
+            costs = original(encoded, **kwargs)
+            trainer._seconds_from_log(np.asarray(other_log_preds, float))
+            return costs
+
+        predictor.predict_encoded = interleaved
+
+    def test_other_requests_saturation_does_not_divert(
+            self, guarded, fresh_predictor, pipeline):
+        pairs = [(r.plan, r.resources) for r in pipeline.records[:3]]
+        expected = fresh_predictor.predict_many(pairs)
+        self._interleave(fresh_predictor, [1e9])  # saturates the clamp
+        result = guarded.predict_many_explained(pairs)
+        assert result.source == "raal", result.reason
+        np.testing.assert_array_equal(result.costs, expected)
+
+    def test_own_saturation_not_hidden_by_later_request(
+            self, fresh_predictor, pipeline):
+        from dataclasses import replace
+
+        from repro.core.trainer import Trainer
+
+        tiny = replace(fresh_predictor.trainer.config, log_clamp_max=1e-9)
+        fresh_predictor.trainer = Trainer(fresh_predictor.trainer.model, tiny)
+        self._interleave(fresh_predictor, [0.0])  # an unsaturated batch
+        guard = GuardedCostPredictor(
+            fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog))
         record = pipeline.records[0]
         result = guard.predict_explained(record.plan, record.resources)
         assert result.source == "gpsj"

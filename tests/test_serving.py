@@ -11,7 +11,9 @@ fixtures (the same SMOKE pipeline the overload tests use).
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -27,6 +29,7 @@ from repro.errors import (CheckpointError, DeadlineExceeded, DeployConflict,
                           ServingError)
 from repro.eval.experiments import SMOKE, ExperimentPipeline
 from repro.reliability import Deadline
+from repro.serving import http as serving_http
 from repro.serving import (MicroBatcher, PredictionService, ROUTES,
                            ServingConfig, serve)
 
@@ -343,6 +346,13 @@ class TestService:
             {"sql": sql, "resources": {"gpus": 8}},    # unknown key
             {"sql": sql, "deadline_ms": -5},           # non-positive
             {"sql": sql, "deadline_ms": "soon"},       # not a number
+            {"sql": sql, "deadline_ms": float("nan")},
+            {"sql": sql, "deadline_ms": float("inf")},
+            {"sql": sql, "deadline_ms": True},         # a boolean
+            {"sql": sql, "resources": {"executors": True}},
+            {"sql": sql, "resources": {"executors": 2.5}},
+            {"sql": sql, "resources": {"memory_gb": float("nan")}},
+            {"sql": sql, "resources": {"memory_gb": float("-inf")}},
             {"sql": sql, "model": ""},                 # empty model id
         ):
             with pytest.raises(ServingError):
@@ -431,6 +441,43 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30.0)
         assert excinfo.value.code == 400
+
+    @staticmethod
+    def _raw_post(base, content_length: str, body: bytes = b""):
+        """POST over a raw socket: (status, payload, seconds to answer)."""
+        host, port = base.removeprefix("http://").split(":")
+        head = (f"POST /v1/predict HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {content_length}\r\n\r\n").encode()
+        with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+            start = time.monotonic()
+            sock.sendall(head + body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+            return response.status, payload, time.monotonic() - start
+
+    def test_bad_content_length_is_typed_400(self, server):
+        for declared in ("abc", "-1", "1.5"):
+            status, payload, _ = self._raw_post(server, declared, b"{}")
+            assert status == 400, declared
+            assert payload["type"] == "ServingError"
+
+    def test_oversized_body_refused_unread(self, server):
+        # Only the headers are sent: the answer cannot wait for the body.
+        status, payload, _ = self._raw_post(
+            server, str(serving_http.MAX_BODY_BYTES + 1))
+        assert status == 400 and payload["type"] == "ServingError"
+
+    def test_short_body_frees_the_thread(self, server, monkeypatch):
+        monkeypatch.setattr(serving_http._Handler, "timeout", 0.5)
+        status, payload, elapsed = self._raw_post(server, "100", b'{"sql"')
+        assert status == 400 and payload["type"] == "ServingError"
+        assert elapsed < 5.0
+
+    def test_non_utf8_body_is_typed_400(self, server):
+        status, payload, _ = self._raw_post(server, "2", b"\x80\x81")
+        assert status == 400 and payload["type"] == "ServingError"
 
     def test_health_metrics_and_models(self, server, sql):
         _post(server, "/v1/predict", {"sql": sql})
