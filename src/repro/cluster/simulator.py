@@ -48,6 +48,8 @@ class StageTime:
     disk_seconds: float
     network_seconds: float
     overhead_seconds: float
+    #: Busy plus overhead time, before the contention noise.
+    base_seconds: float
     total_seconds: float
     spilled_bytes: float
     broadcast_fallback: bool
@@ -59,6 +61,8 @@ class SimulationResult:
 
     runtime_seconds: float
     stage_times: list[StageTime] = field(default_factory=list)
+    #: CRC-32 of the plan signature; with the run id it seeds the noise.
+    plan_key: int = 0
 
     @property
     def total_spilled_bytes(self) -> float:
@@ -114,27 +118,47 @@ class SparkSimulator:
         # identity) so equal plans cost the same across processes and
         # repeated pipeline constructions.
         plan_key = zlib.crc32(plan.signature().encode())
-        rng = np.random.default_rng(
-            (self._seed * 1_000_003 + plan_key * 7919 + run_id) % (2 ** 63))
+        rng = self._noise_rng(plan_key, run_id)
         stage_times = [self._simulate_stage(stage, resources, rng) for stage in stages]
-        startup_executors = (1 if self.params.allocation == "dynamic"
-                             else resources.executors)
-        overhead = (self.params.job_overhead
-                    + self.params.executor_startup * startup_executors)
-        runtime = overhead + sum(s.total_seconds for s in stage_times)
-        return SimulationResult(runtime_seconds=runtime, stage_times=stage_times)
+        runtime = self._job_overhead(resources) + sum(s.total_seconds for s in stage_times)
+        return SimulationResult(runtime_seconds=runtime, stage_times=stage_times,
+                                plan_key=plan_key)
 
     def execute_mean(self, plan: PhysicalPlan, resources: ResourceProfile,
                      runs: int = 3) -> float:
-        """Average runtime over ``runs`` simulations (as the paper does)."""
+        """Average runtime over ``runs`` simulations (as the paper does).
+
+        Repeated runs differ only in their contention noise, so run 0 is
+        simulated in full and the later runs redraw the noise over its
+        pre-noise stage seconds. The mean equals averaging ``runs``
+        calls of :meth:`execute` bit for bit.
+        """
         if runs < 1:
             raise SimulationError("runs must be >= 1")
-        total = 0.0
-        for run_id in range(runs):
-            total += self.execute(plan, resources, run_id=run_id).runtime_seconds
+        first = self.execute(plan, resources, run_id=0)
+        bases = [s.base_seconds for s in first.stage_times]
+        overhead = self._job_overhead(resources)
+        total = first.runtime_seconds
+        for run_id in range(1, runs):
+            rng = self._noise_rng(first.plan_key, run_id)
+            total += overhead + sum(base * self._noise(rng) for base in bases)
         return total / runs
 
     # -- internals ----------------------------------------------------------
+    def _noise_rng(self, plan_key: int, run_id: int) -> np.random.Generator:
+        return np.random.default_rng(
+            (self._seed * 1_000_003 + plan_key * 7919 + run_id) % (2 ** 63))
+
+    def _noise(self, rng: np.random.Generator) -> float:
+        """One stage's lognormal contention factor."""
+        return float(rng.lognormal(mean=0.0, sigma=self.params.noise_sigma))
+
+    def _job_overhead(self, resources: ResourceProfile) -> float:
+        startup_executors = (1 if self.params.allocation == "dynamic"
+                             else resources.executors)
+        return (self.params.job_overhead
+                + self.params.executor_startup * startup_executors)
+
     def _task_count(self, stage: Stage, resources: ResourceProfile) -> tuple[int, float]:
         """(tasks, skew) for one stage.
 
@@ -202,8 +226,8 @@ class SparkSimulator:
 
         overhead = (params.wave_overhead * waves + params.task_overhead * tasks
                     + acquire_time)
-        noise = float(rng.lognormal(mean=0.0, sigma=params.noise_sigma))
-        total_seconds = (busy + overhead) * noise
+        base_seconds = busy + overhead
+        total_seconds = base_seconds * self._noise(rng)
         return StageTime(
             stage_id=stage.stage_id,
             tasks=tasks,
@@ -212,6 +236,7 @@ class SparkSimulator:
             disk_seconds=disk_time,
             network_seconds=network_time,
             overhead_seconds=overhead,
+            base_seconds=base_seconds,
             total_seconds=total_seconds,
             spilled_bytes=total.spilled_bytes,
             broadcast_fallback=total.broadcast_fallback,

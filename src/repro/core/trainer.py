@@ -90,7 +90,7 @@ class TrainerConfig:
     lr_decay_gamma: float = 0.5
     # Upper clamp on log-space predictions before ``expm1`` — bounds
     # ``predict_seconds`` output at ``expm1(log_clamp_max)``. Clamped
-    # (saturated) predictions are counted in ``Trainer.last_saturated``.
+    # (saturated) predictions are counted in ``predict.saturated_total``.
     log_clamp_max: float = 25.0
     # Divergence guard: an epoch whose loss is non-finite, or spikes
     # above ``divergence_spike_factor`` × the best train loss so far,
@@ -154,9 +154,6 @@ class Trainer:
         #: Monotonic time source for epoch/total wall-clock accounting;
         #: injectable so tests assert exact timings without sleeping.
         self.clock = clock
-        #: Count of predictions clamped at ``log_clamp_max`` in the most
-        #: recent :meth:`predict_seconds` call (saturation indicator).
-        self.last_saturated = 0
         # Default (f64, single-thread) execution engine, built lazily;
         # CostPredictor passes its own configured engine instead.
         self._executor = None
@@ -419,9 +416,9 @@ class Trainer:
     def _seconds_from_log(self, log_preds: np.ndarray) -> np.ndarray:
         """Clamp + ``expm1`` with saturation accounting (shared logic)."""
         hi = self.config.log_clamp_max
-        self.last_saturated = int(np.count_nonzero(log_preds > hi))
-        if self.last_saturated:
-            obs.inc("predict.saturated_total", self.last_saturated,
+        saturated = int(np.count_nonzero(log_preds > hi))
+        if saturated:
+            obs.inc("predict.saturated_total", saturated,
                     help="Predictions clamped at log_clamp_max")
         return np.expm1(np.clip(log_preds, 0.0, hi))
 
@@ -433,8 +430,9 @@ class Trainer:
         Log-space predictions are clamped to ``[0, log_clamp_max]``
         before ``expm1``. Predictions that hit the upper clamp are
         *saturated* — the model asked for a cost beyond its trained
-        range — and their count is surfaced in :attr:`last_saturated`
-        rather than silently hidden (the guarded predictor treats a
+        range — and their count goes to the ``predict.saturated_total``
+        counter rather than being silently hidden (the guarded predictor
+        counts saturation in the costs it gets back and treats a
         saturated batch as a degradation trigger).
         """
         log_preds = self.predict_log(encoded, fast=fast, bucket=bucket,

@@ -156,15 +156,75 @@ def _sort(relation: Relation, keys) -> Relation:
     return relation.take(order)
 
 
-def execute_plan(plan: PhysicalPlan, catalog: Catalog) -> Relation:
+def _content_keys(root: PhysicalNode) -> dict[int, tuple]:
+    """``id(node)`` → a key for the logical content of the node's output.
+
+    Two nodes with equal keys produce relations with the same rows and
+    columns (possibly in another order), so their observed sizes agree.
+    A key is built from the scans (alias, table, columns), the
+    predicates applied so far (pushed into the scan or not), the join
+    tree and its conditions, and the project / aggregate / limit
+    operators above it. Sorts and exchanges pass their child's key
+    through, and the join algorithm does not enter the key.
+    """
+    keys: dict[int, tuple] = {}
+
+    def visit(node: PhysicalNode) -> tuple:
+        kids = [visit(child) for child in node.children]
+        if isinstance(node, FileScan):
+            key = ("scan", node.alias, node.table, tuple(node.columns))
+            if node.pushed_filters:
+                key = ("filter", key, frozenset(node.pushed_filters))
+        elif isinstance(node, FilterExec):
+            base, applied = (kids[0][1], kids[0][2]) if kids[0][0] == "filter" \
+                else (kids[0], frozenset())
+            key = ("filter", base, applied | frozenset(node.predicates))
+        elif isinstance(node, ProjectExec):
+            key = ("project", kids[0], tuple(node.columns))
+        elif isinstance(node, (SortExec, ExchangeHashPartition,
+                               ExchangeSinglePartition, BroadcastExchange)):
+            # An exchange above a partial aggregate also reports the
+            # partial's sizes, so passing the key through holds there.
+            key = kids[0]
+        elif isinstance(node, (SortMergeJoin, BroadcastHashJoin,
+                               BroadcastNestedLoopJoin)):
+            condition = None if isinstance(node, BroadcastNestedLoopJoin) \
+                else node.condition
+            key = ("join", kids[0], kids[1], condition)
+        elif isinstance(node, (HashAggregate, SortAggregate)):
+            key = ("aggregate", node.mode, kids[0], tuple(node.group_by),
+                   tuple(node.aggregates))
+        elif isinstance(node, LimitExec):
+            key = ("limit", kids[0], node.count)
+        else:
+            raise PlanError(f"cannot execute node type {type(node).__name__}")
+        keys[id(node)] = key
+        return key
+
+    visit(root)
+    return keys
+
+
+def execute_plan(plan: PhysicalPlan, catalog: Catalog,
+                 memo: dict | None = None) -> Relation | None:
     """Execute ``plan`` against ``catalog``; annotates observed sizes.
 
     Every node's ``obs_rows``/``obs_bytes`` are set as a side effect.
     Aggregation columns in the result are named after the aggregate
     expression (e.g. ``count(*)``).
+
+    ``memo`` shares sizes across the plans of one query: it maps each
+    executed node's logical content key to its ``(obs_rows,
+    obs_bytes)``. A node whose key is already there takes its sizes
+    from it and only its children are visited; any other node runs its
+    subtree as usual and adds the subtree's sizes. Sizes are memoized,
+    never relations, so nothing is returned when the memo already
+    held the root's sizes.
     """
+    keys = _content_keys(plan.root) if memo is not None else {}
 
     def run(node: PhysicalNode) -> Relation:
+        sizes = None
         if isinstance(node, FileScan):
             table = catalog.table(node.table)
             relation = Relation({
@@ -186,9 +246,7 @@ def execute_plan(plan: PhysicalPlan, catalog: Catalog) -> Relation:
                 # The shuffle transfers the partial aggregate's output
                 # (one row per group), not the rows it passed through
                 # for downstream correctness.
-                node.obs_rows = node.child.obs_rows
-                node.obs_bytes = node.child.obs_bytes
-                return relation
+                sizes = (node.child.obs_rows, node.child.obs_bytes)
         elif isinstance(node, (SortMergeJoin, BroadcastHashJoin)):
             left = run(node.left)
             right = run(node.right)
@@ -207,22 +265,34 @@ def execute_plan(plan: PhysicalPlan, catalog: Catalog) -> Relation:
                 # output depends on the runtime partition count; record
                 # the group count and pass rows through for correctness.
                 if node.group_by:
-                    keys = [child.column(_qualified(c)) for c in node.group_by]
-                    _, groups = group_codes(keys)
+                    group_keys = [child.column(_qualified(c)) for c in node.group_by]
+                    _, groups = group_codes(group_keys)
                 else:
                     groups = 1 if child.num_rows else 0
-                node.obs_rows = float(groups)
-                node.obs_bytes = groups * 8.0 * max(
-                    len(node.group_by) + len(node.aggregates), 1)
-                return child
-            relation = _aggregate(child, node.group_by, node.aggregates)
+                sizes = (float(groups), groups * 8.0 * max(
+                    len(node.group_by) + len(node.aggregates), 1))
+                relation = child
+            else:
+                relation = _aggregate(child, node.group_by, node.aggregates)
         elif isinstance(node, LimitExec):
             child = run(node.child)
             relation = child.take(np.arange(min(node.count, child.num_rows)))
         else:
             raise PlanError(f"cannot execute node type {type(node).__name__}")
-        node.obs_rows = float(relation.num_rows)
-        node.obs_bytes = float(relation.estimated_bytes())
+        if sizes is None:
+            sizes = (float(relation.num_rows), float(relation.estimated_bytes()))
+        node.obs_rows, node.obs_bytes = sizes
+        if memo is not None:
+            memo[keys[id(node)]] = sizes
         return relation
 
-    return run(plan.root)
+    def annotate(node: PhysicalNode) -> Relation | None:
+        sizes = memo.get(keys[id(node)])
+        if sizes is None:
+            return run(node)
+        node.obs_rows, node.obs_bytes = sizes
+        for child in node.children:
+            annotate(child)
+        return None
+
+    return run(plan.root) if memo is None else annotate(plan.root)

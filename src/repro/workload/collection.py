@@ -1,10 +1,11 @@
 """The data-collection phase (paper Fig. 3, left).
 
 For each query: enumerate its candidate physical plans ("we select the
-first three Catalyst-generated physical execution plans"), execute each
-once on the catalog to observe true per-operator volumes, then simulate
-each plan under several sampled resource states to obtain (plan,
-resources) → cost records, averaging repeated runs as the paper does.
+first three Catalyst-generated physical execution plans"), execute them
+on the catalog to observe true per-operator volumes (as one family, so a
+subplan they share is sized once), then simulate each plan under several
+sampled resource states to obtain (plan, resources) → cost records,
+averaging repeated runs as the paper does.
 """
 
 from __future__ import annotations
@@ -74,12 +75,21 @@ class DataCollector:
 
     # -- plan materialization ------------------------------------------------
     def plans_for(self, sql: str) -> list[PhysicalPlan]:
-        """Enumerate + execute the first N candidate plans of a query."""
+        """The first ``plans_per_query`` candidate plans of a query, annotated.
+
+        The plans are one logical query in several physical forms, so
+        they run as a family: one size memo is shared across them, and
+        a subplan whose logical content an earlier plan already sized
+        is annotated from the memo instead of being executed again.
+        Every node ends up with the ``obs_rows``/``obs_bytes`` that
+        executing its plan alone would give it.
+        """
         query = analyze(parse(sql), self.catalog)
         plans = enumerate_plans(query, self.catalog, self.config.enumerator)
         plans = plans[: self.config.plans_per_query]
+        memo: dict = {}
         for plan in plans:
-            execute_plan(plan, self.catalog)
+            execute_plan(plan, self.catalog, memo)
         return plans
 
     def collect(self, sqls: list[str]) -> list[PlanRecord]:
@@ -127,11 +137,11 @@ class DataCollector:
     # -- conversion --------------------------------------------------------------
     @staticmethod
     def to_samples(records: list[PlanRecord], encoder: PlanEncoder) -> list[TrainingSample]:
-        """Encode records into model-ready training samples."""
-        return [
-            TrainingSample(
-                encoded=encoder.encode(r.plan, r.resources),
-                cost_seconds=r.cost_seconds,
-            )
-            for r in records
-        ]
+        """Encode records into model-ready training samples.
+
+        Records of one plan share its plan-side features: the plan is
+        fingerprinted once, however many resource states it ran under.
+        """
+        encoded = encoder.encode_many([(r.plan, r.resources) for r in records])
+        return [TrainingSample(encoded=e, cost_seconds=r.cost_seconds)
+                for e, r in zip(encoded, records)]

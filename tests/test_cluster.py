@@ -180,6 +180,33 @@ class TestSimulator:
                    for i in range(3)]
         assert mean == pytest.approx(np.mean(singles))
 
+    @pytest.mark.parametrize("allocation", ["static", "dynamic"])
+    @pytest.mark.parametrize("runs", [1, 2, 3, 4, 5])
+    def test_execute_mean_is_the_running_sum_mean_bit_for_bit(
+            self, executed_plans, allocation, runs, monkeypatch):
+        sim = SparkSimulator(params=SimulatorParams(allocation=allocation), seed=11)
+        calls = []
+        execute = SparkSimulator.execute
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("run_id", 0))
+            return execute(self, *args, **kwargs)
+
+        for plan in executed_plans[:4]:
+            for resources in (PAPER_CLUSTER, PAPER_CLUSTER.with_memory(0.5),
+                              ResourceProfile(executors=3, executor_cores=2)):
+                total = 0.0
+                for run_id in range(runs):
+                    total += sim.execute(plan, resources,
+                                         run_id=run_id).runtime_seconds
+                monkeypatch.setattr(SparkSimulator, "execute", counting)
+                calls.clear()
+                mean = sim.execute_mean(plan, resources, runs=runs)
+                monkeypatch.setattr(SparkSimulator, "execute", execute)
+                assert mean == total / runs
+                # Run 0 still goes through execute (the traced layer).
+                assert calls == [0]
+
     def test_execute_mean_rejects_zero_runs(self, smj_plan):
         with pytest.raises(SimulationError):
             SparkSimulator().execute_mean(smj_plan, PAPER_CLUSTER, runs=0)

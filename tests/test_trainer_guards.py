@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.raal import RAAL, RAALConfig
 from repro.core.trainer import Trainer, TrainerConfig, TrainingSample, collate
 from repro.encoding.plan_encoder import EncodedPlan
@@ -149,16 +150,24 @@ class TestPredictionClamp:
         hi = float(np.max(log_preds)) - 1e-9
         clamped_trainer = Trainer(
             trainer.model, replace(trainer.config, log_clamp_max=hi))
-        seconds = clamped_trainer.predict_seconds(encoded)
+        telemetry = obs.Telemetry.create()
+        with obs.attached(telemetry):
+            seconds = clamped_trainer.predict_seconds(encoded)
         expected = int(np.count_nonzero(log_preds > hi))
         assert expected >= 1
-        assert clamped_trainer.last_saturated == expected
+        counter = telemetry.registry.get("predict.saturated_total")
+        assert counter.value == expected
+        # The saturated predictions sit exactly at the clamp ceiling.
+        assert np.all(seconds[log_preds > hi] == np.expm1(hi))
         assert seconds.max() <= np.expm1(max(hi, 0.0)) + 1e-12
 
     def test_no_saturation_with_default_clamp(self, samples):
         trainer = make_trainer()
-        trainer.predict_seconds([s.encoded for s in samples])
-        assert trainer.last_saturated == 0
+        telemetry = obs.Telemetry.create()
+        with obs.attached(telemetry):
+            seconds = trainer.predict_seconds([s.encoded for s in samples])
+        assert "predict.saturated_total" not in telemetry.registry
+        assert seconds.max() < np.expm1(trainer.config.log_clamp_max)
 
     def test_clamp_bound_is_configurable(self, samples):
         trainer = make_trainer(log_clamp_max=2.0)

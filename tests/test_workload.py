@@ -152,6 +152,27 @@ class TestDataCollector:
         for sample, record in zip(samples, pipeline.records[:5]):
             assert sample.cost_seconds == record.cost_seconds
 
+    def test_to_samples_fingerprints_each_plan_once(self, pipeline, monkeypatch):
+        from repro.encoding import plan_encoder
+        encoder = pipeline.encoder_for(variant("RAAL"))
+        records = pipeline.records
+        calls = []
+        fingerprint = plan_encoder.plan_fingerprint
+        monkeypatch.setattr(plan_encoder, "plan_fingerprint",
+                            lambda plan: calls.append(plan) or fingerprint(plan))
+        samples = DataCollector.to_samples(records, encoder)
+        plans = {id(r.plan) for r in records}
+        assert len(plans) < len(records)
+        assert len(calls) == len(plans)
+        monkeypatch.undo()
+        for sample, record in zip(samples, records):
+            alone = encoder.encode(record.plan, record.resources)
+            for field in ("node_features", "child_mask", "resources", "extras"):
+                expected = getattr(alone, field)
+                actual = getattr(sample.encoded, field)
+                assert actual.dtype == expected.dtype
+                assert actual.tobytes() == expected.tobytes()
+
 
 class TestSplit:
     def test_split_fractions(self, pipeline):
