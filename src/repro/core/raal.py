@@ -81,6 +81,16 @@ class RAALBatch:
         ``(B, extras_dim)`` plan-level statistics.
     targets:
         Optional ``(B,)`` regression targets (log-cost).
+    plan_rows:
+        Optional ``(U,)`` int array: the first row of each distinct plan
+        in the batch (rows whose node count, ``node_features`` and
+        ``child_mask`` are byte-equal hold the same plan).
+    plan_index:
+        Optional ``(B,)`` int array: the distinct plan of each row, an
+        index into ``plan_rows``. Both fields are ``None`` when every
+        row holds a different plan. Set by training ``collate``; the
+        fused training step then runs the plan side (embedding, feature
+        layer, node attention, resource-attention keys) on ``U`` rows.
     """
 
     node_features: np.ndarray
@@ -89,6 +99,8 @@ class RAALBatch:
     resources: np.ndarray
     extras: np.ndarray
     targets: np.ndarray | None = None
+    plan_rows: np.ndarray | None = None
+    plan_index: np.ndarray | None = None
 
     @property
     def size(self) -> int:

@@ -7,6 +7,7 @@ converted back for metric reporting in original space where needed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -62,14 +63,26 @@ def collate(samples: list[TrainingSample], max_nodes: int | None = None) -> RAAL
     resources = np.stack([s.encoded.resources for s in samples])
     extras = np.stack([s.encoded.extras for s in samples])
     targets = np.array([s.log_cost for s in samples])
+    # Rows that hold the same plan (collection runs each plan under
+    # several resource states), keyed by content, not object identity.
+    plan_of: dict[tuple[int, bytes, bytes], int] = {}
+    plan_rows: list[int] = []
+    plan_index = np.empty(batch_size, dtype=np.intp)
     for i, sample in enumerate(samples):
         k = sample.encoded.num_nodes
         feats[i, :k] = sample.encoded.node_features
         child[i, :k, :k] = sample.encoded.child_mask
         mask[i, :k] = True
+        key = (k, feats[i, :k].tobytes(), child[i, :k, :k].tobytes())
+        plan_index[i] = plan_of.setdefault(key, len(plan_rows))
+        if plan_index[i] == len(plan_rows):
+            plan_rows.append(i)
+    repeated = len(plan_rows) < batch_size
     return RAALBatch(
         node_features=feats, child_mask=child, node_mask=mask,
         resources=resources, extras=extras, targets=targets,
+        plan_rows=np.array(plan_rows, dtype=np.intp) if repeated else None,
+        plan_index=plan_index if repeated else None,
     )
 
 
@@ -169,10 +182,18 @@ class Trainer:
         ``divergence_max_recoveries`` events :class:`TrainingError` is
         raised with the model restored to its best finite state, so a
         silently-NaN fitted model can never escape this method.
+
+        A non-finite or negative ``cost_seconds`` label is refused with
+        :class:`TrainingError` before the first epoch.
         """
         cfg = self.config
         if len(samples) < 4:
             raise TrainingError(f"need at least 4 samples, got {len(samples)}")
+        for i, sample in enumerate(samples):
+            if not (math.isfinite(sample.cost_seconds) and sample.cost_seconds >= 0.0):
+                raise TrainingError(
+                    f"sample {i} has cost_seconds={sample.cost_seconds!r}; "
+                    "cost labels must be finite and non-negative")
         rng = np.random.default_rng(cfg.seed)
         order = rng.permutation(len(samples))
         n_val = max(1, int(len(samples) * cfg.validation_fraction))

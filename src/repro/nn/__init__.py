@@ -47,7 +47,6 @@ from repro.nn.training import (
     fused_lstm_forward_cached,
     node_attention_backward,
     raal_forward_backward,
-    resource_attention_backward,
 )
 
 __all__ = [
@@ -99,5 +98,4 @@ __all__ = [
     "fused_lstm_forward_cached",
     "fused_lstm_backward",
     "node_attention_backward",
-    "resource_attention_backward",
 ]

@@ -16,6 +16,16 @@ activations the gradients need), computes the MSE loss against
 parameter's ``.grad`` — exactly what ``model(batch)`` followed by
 ``mse_loss(...).backward()`` produces, without building a graph.
 
+The step mirrors the paper's Fig. 5 split: the plan side (embedding,
+feature layer, node attention, resource-attention keys) never sees the
+resource vector. Collection runs each plan under several resource
+states, so when training ``collate`` marks rows that hold the same plan
+(``RAALBatch.plan_rows`` / ``plan_index``), the plan side runs forward
+and backward once per distinct plan, and only the resource side, the
+dense head and the loss run per row. Gradients still match autograd
+over every row to ≤ 1e-8; a batch without repeats takes the same
+arithmetic as before, bit for bit.
+
 Gate order, masking semantics, and operation shapes follow
 :mod:`repro.nn.rnn` / :mod:`repro.nn.attention`. Dropout draws its
 masks from the same module-owned generators as the autograd layers, so
@@ -39,8 +49,6 @@ __all__ = [
     "fused_lstm_backward",
     "node_attention_forward_cached",
     "node_attention_backward",
-    "resource_attention_forward_cached",
-    "resource_attention_backward",
     "masked_mean_backward",
     "dense_forward_cached",
     "dense_backward",
@@ -361,33 +369,34 @@ def node_attention_backward(
 
 @dataclass
 class ResourceAttentionCache:
-    """Activations for :func:`resource_attention_backward`."""
+    """Activations for :func:`_resource_attention_backward`."""
 
     hidden: np.ndarray          # (B, N, H)
     resources: np.ndarray       # (B, R)
     query: np.ndarray           # (B, K)
     keys: np.ndarray            # (B, N, K)
     attn: np.ndarray            # (B, N)
-    w_resource: np.ndarray
-    w_key: np.ndarray
     scale: float
 
 
-def resource_attention_forward_cached(
+def _resource_attention_forward_cached(
     hidden: np.ndarray,
     resources: np.ndarray,
     w_resource: np.ndarray,
-    w_key: np.ndarray,
+    keys: np.ndarray,
     node_mask: np.ndarray,
     latent_dim: int,
 ) -> tuple[np.ndarray, ResourceAttentionCache]:
-    """:func:`~repro.nn.inference.resource_attention_forward` with caching."""
+    """:func:`~repro.nn.inference.resource_attention_forward` with caching.
+
+    ``keys`` is the key projection ``hidden @ w_key`` ``(B, N, K)``. It
+    depends only on the plan, so the caller computes it (once per
+    distinct plan) and owns its backward.
+    """
     if resources.shape[-1] != w_resource.shape[0]:
         raise ShapeError(
             f"expected resource dim {w_resource.shape[0]}, got {resources.shape[-1]}")
     query = resources @ w_resource
-    b, n, h = hidden.shape
-    keys = (hidden.reshape(b * n, h) @ w_key).reshape(b, n, -1)
     scale = 1.0 / np.sqrt(latent_dim)
     scores = (keys @ query[:, :, None]).squeeze(2)
     scores *= scale
@@ -396,14 +405,18 @@ def resource_attention_forward_cached(
     out = (hidden * attn[:, :, None]).sum(axis=1)
     cache = ResourceAttentionCache(
         hidden=hidden, resources=resources, query=query, keys=keys, attn=attn,
-        w_resource=w_resource, w_key=w_key, scale=scale)
+        scale=scale)
     return out, cache
 
 
-def resource_attention_backward(
+def _resource_attention_backward(
     d_out: np.ndarray, cache: ResourceAttentionCache,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of resource attention: ``(d_hidden, d_w_resource, d_w_key)``."""
+    """Gradients of resource attention: ``(d_hidden, d_keys, d_w_resource)``.
+
+    ``d_hidden`` holds only the weighted-sum term; the key projection's
+    share reaches ``hidden`` through ``d_keys`` in the caller.
+    """
     # out = sum_n hidden * attn
     d_attn = (cache.hidden * d_out[:, None, :]).sum(axis=-1)
     d_hidden = cache.attn[:, :, None] * d_out[:, None, :]
@@ -414,11 +427,7 @@ def resource_attention_backward(
     d_keys = d_scores[:, :, None] * cache.query[:, None, :]
     d_query = (d_scores[:, :, None] * cache.keys).sum(axis=1)
     d_wr = cache.resources.T @ d_query
-    dk_flat = d_keys.reshape(-1, d_keys.shape[-1])
-    d_wk = cache.hidden.reshape(-1, cache.hidden.shape[-1]).T @ dk_flat
-    # One flat GEMM instead of a B-deep batched matmul.
-    d_hidden += (dk_flat @ cache.w_key.T).reshape(d_hidden.shape)
-    return d_hidden, d_wr, d_wk
+    return d_hidden, d_keys, d_wr
 
 
 def masked_mean_backward(d_pooled: np.ndarray, node_mask: np.ndarray) -> np.ndarray:
@@ -498,6 +507,14 @@ def raal_forward_backward(model, batch) -> tuple[float, np.ndarray]:
     parameter) to ``mse_loss(model(batch), Tensor(batch.targets))``
     followed by ``.backward()``, for every ablation variant.
 
+    When ``batch.plan_index`` is set, the plan side (embedding, feature
+    layer, node attention and the resource-attention keys) runs on the
+    ``U`` distinct plans only; its outputs are gathered to the ``B``
+    rows for the resource side, and their gradients are summed back to
+    the ``U`` plans by one ``(U, B)`` one-hot GEMM before the plan-side
+    backward. Without ``plan_index`` every gather and scatter is the
+    identity.
+
     Parameters
     ----------
     model:
@@ -521,7 +538,26 @@ def raal_forward_backward(model, batch) -> tuple[float, np.ndarray]:
         raise ShapeError(
             f"batch node_dim {x.shape[2]} != model node_dim {config.node_dim}")
     targets = np.asarray(batch.targets, dtype=np.float64)
-    batch_size = x.shape[0]
+
+    # Plan-side inputs: one row per distinct plan.
+    node_mask, child_mask = batch.node_mask, batch.child_mask
+    plan_index = batch.plan_index
+    if plan_index is not None:
+        rows = batch.plan_rows
+        x, node_mask, child_mask = x[rows], node_mask[rows], child_mask[rows]
+        onehot = np.zeros((rows.size, plan_index.size))
+        onehot[plan_index, np.arange(plan_index.size)] = 1.0
+
+    def gather(a: np.ndarray) -> np.ndarray:
+        """Plan-side rows ``(U, ...)`` → batch rows ``(B, ...)``."""
+        return a if plan_index is None else a[plan_index]
+
+    def scatter(d: np.ndarray) -> np.ndarray:
+        """Batch-row gradient ``(B, ...)`` → summed per plan ``(U, ...)``."""
+        if plan_index is None:
+            return d
+        summed = onehot @ d.reshape(d.shape[0], -1)
+        return summed.reshape((onehot.shape[0],) + d.shape[1:])
 
     # -- forward, caching what the gradients need -----------------------
     emb = x @ model.embedding.weight.data
@@ -534,7 +570,7 @@ def raal_forward_backward(model, batch) -> tuple[float, np.ndarray]:
         cell = model.plan_feature.cell
         hidden, lstm_cache = fused_lstm_forward_cached(
             emb, cell.w_x.data, cell.w_h.data, cell.bias.data,
-            mask=batch.node_mask)
+            mask=node_mask)
     else:
         pad_len = config.cnn_kernel - 1
         embp = emb
@@ -557,18 +593,22 @@ def raal_forward_backward(model, batch) -> tuple[float, np.ndarray]:
         plan_vec, na_cache = node_attention_forward_cached(
             hidden, model.node_attention.w_query.data,
             model.node_attention.w_key.data,
-            batch.child_mask, batch.node_mask, config.latent_dim)
+            child_mask, node_mask, config.latent_dim)
     else:
-        plan_vec = (hidden * batch.node_mask.astype(np.float64)[:, :, None]
+        plan_vec = (hidden * node_mask.astype(np.float64)[:, :, None]
                     ).sum(axis=1) / np.maximum(
-                        batch.node_mask.sum(axis=1, keepdims=True), 1.0)
+                        node_mask.sum(axis=1, keepdims=True), 1.0)
 
-    parts = [plan_vec]
+    hs = config.hidden_size
+    parts = [gather(plan_vec)]
     if model.resource_attention is not None:
+        w_key = model.resource_attention.w_key.data
+        u, n, _ = hidden.shape
+        keys = (hidden.reshape(u * n, hs) @ w_key).reshape(u, n, -1)
         resources = np.asarray(batch.resources, dtype=np.float64)
-        res_vec, ra_cache = resource_attention_forward_cached(
-            hidden, resources, model.resource_attention.w_resource.data,
-            model.resource_attention.w_key.data,
+        res_vec, ra_cache = _resource_attention_forward_cached(
+            gather(hidden), resources,
+            model.resource_attention.w_resource.data, gather(keys),
             batch.node_mask, config.latent_dim)
         parts.append(res_vec)
         parts.append(resources)
@@ -585,23 +625,27 @@ def raal_forward_backward(model, batch) -> tuple[float, np.ndarray]:
     d_pred = (2.0 / diff.size) * diff
     d_joined = dense_backward(d_pred[:, None], dense_caches)
 
-    hs = config.hidden_size
-    d_plan_vec = d_joined[:, :hs]
+    d_plan_vec = scatter(d_joined[:, :hs])
     d_hidden = None
     if model.resource_attention is not None:
         # Raw resources and extras are inputs, not parameters — their
         # slice of d_joined is discarded.
         d_res_vec = d_joined[:, hs : 2 * hs]
-        d_hidden, d_wr, d_wk = resource_attention_backward(d_res_vec, ra_cache)
+        d_hid, d_keys, d_wr = _resource_attention_backward(d_res_vec, ra_cache)
         _accumulate(model.resource_attention.w_resource, d_wr)
-        _accumulate(model.resource_attention.w_key, d_wk)
+        dk_flat = scatter(d_keys).reshape(-1, d_keys.shape[-1])
+        _accumulate(model.resource_attention.w_key,
+                    hidden.reshape(-1, hs).T @ dk_flat)
+        d_hidden = scatter(d_hid)
+        # One flat GEMM instead of a B-deep batched matmul.
+        d_hidden += (dk_flat @ w_key.T).reshape(d_hidden.shape)
     if model.node_attention is not None:
         dh, d_wq, d_wk = node_attention_backward(d_plan_vec, na_cache)
         d_hidden = dh if d_hidden is None else d_hidden + dh
         _accumulate(model.node_attention.w_query, d_wq)
         _accumulate(model.node_attention.w_key, d_wk)
     else:
-        dh = masked_mean_backward(d_plan_vec, batch.node_mask)
+        dh = masked_mean_backward(d_plan_vec, node_mask)
         d_hidden = dh if d_hidden is None else d_hidden + dh
 
     if model.plan_feature is not None:

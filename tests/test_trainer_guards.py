@@ -120,6 +120,29 @@ class TestDivergenceGuard:
         assert np.isfinite(result.train_losses).all()
 
 
+class TestCostLabelValidation:
+    """A bad label is refused before epoch 0, naming the sample."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.5],
+                             ids=["nan", "inf", "negative"])
+    def test_bad_label_rejected_before_training(self, samples, bad,
+                                                monkeypatch):
+        samples[7].cost_seconds = bad
+        poison = PoisonedLoss(0, 0, 1.0)
+        monkeypatch.setattr("repro.core.trainer.mse_loss", poison)
+        trainer = make_trainer()
+        before = trainer.model.state_dict()
+        with pytest.raises(TrainingError, match=rf"sample 7 .*{bad!r}"):
+            trainer.fit(samples)
+        assert poison.calls == 0  # no epoch ran
+        for name, value in trainer.model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
+
+    def test_zero_cost_is_a_valid_label(self, samples):
+        samples[3].cost_seconds = 0.0
+        assert make_trainer(epochs=1).fit(samples).train_losses
+
+
 class TestCollateValidation:
     def test_mixed_node_dims_rejected_clearly(self):
         rng = np.random.default_rng(0)

@@ -5,7 +5,9 @@ The fused training step (`RAAL.forward_backward` /
 same gradients as the autograd path to ≤ 1e-8 per parameter, and
 `Trainer.fit` must walk the same loss trajectory whichever path computes
 the gradients (both share the epoch-persistent bucketed collation, so
-the gradient kernel is the only difference).
+the gradient kernel is the only difference). Both contracts also hold on
+batches where one plan fills several rows, for which the fused step runs
+the plan side once per distinct plan.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from repro import obs
 from repro.cli import build_parser, _make_pipeline
 from repro.core import RAAL, RAALConfig, Trainer, TrainerConfig
-from repro.core.trainer import TrainingSample
+from repro.core.trainer import TrainingSample, collate
 from repro.encoding import EncodedPlan
 from repro.errors import TrainingError
 from repro.nn import Tensor, mse_loss, raal_forward_backward
@@ -38,10 +40,20 @@ def small_config(seed=0, dropout=0.0, **switches) -> RAALConfig:
 
 
 def make_batch(config: RAALConfig, batch=5, n=9, seed=0, pad=True,
-               dense_child_mask=False):
-    """Random *training* batch (targets set) with tree-shaped masks."""
+               dense_child_mask=False, copies=1):
+    """Random *training* batch (targets set) with tree-shaped masks.
+
+    With ``copies > 1`` the batch holds ``batch`` plans, each under
+    ``copies`` resource vectors, collated as training collates it.
+    """
     from repro.core import RAALBatch
 
+    if copies > 1:
+        out = collate(repeated_samples(
+            config, plans=batch, copies=copies, n=n, seed=seed, pad=pad,
+            dense_child_mask=dense_child_mask))
+        assert out.plan_rows.size == batch
+        return out
     rng = np.random.default_rng(seed)
     lengths = rng.integers(2, n + 1, size=batch) if pad else np.full(batch, n)
     mask = np.zeros((batch, n), dtype=bool)
@@ -64,6 +76,36 @@ def make_batch(config: RAALConfig, batch=5, n=9, seed=0, pad=True,
     )
 
 
+def repeated_samples(config: RAALConfig, plans=4, copies=5, n=9, seed=0,
+                     pad=True, dense_child_mask=False, shuffle=True):
+    """Each of ``plans`` random plans under ``copies`` resource vectors.
+
+    Every copy holds its own equal arrays (as collection produces them),
+    so sharing must come from content, not object identity. Rows are
+    shuffled so repeats are not adjacent within a batch.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(plans):
+        length = int(rng.integers(2, n + 1)) if pad else n
+        child = np.zeros((length, length), dtype=bool)
+        if dense_child_mask:
+            child[:] = ~np.eye(length, dtype=bool)
+        else:
+            for i in range(1, length):
+                child[i, rng.integers(0, i)] = True
+        feats = rng.normal(size=(length, config.node_dim))
+        for _ in range(copies):
+            encoded = EncodedPlan(
+                node_features=feats.copy(), child_mask=child.copy(),
+                resources=rng.random(config.resource_dim),
+                extras=rng.random(config.extras_dim))
+            out.append(TrainingSample(encoded, float(rng.random() * 20.0)))
+    if shuffle:
+        out = [out[i] for i in rng.permutation(len(out))]
+    return out
+
+
 def autograd_reference(model, batch):
     """Legacy gradients: autograd forward + mse backward."""
     model.zero_grad()
@@ -73,24 +115,55 @@ def autograd_reference(model, batch):
     return float(loss.data), grads
 
 
+def check_matches_autograd(name, seed, pad, copies=1, dropout=0.0):
+    """Fused gradients == autograd's for variant ``name`` (dropout replayed)."""
+    config = small_config(seed=seed, dropout=dropout, **VARIANT_SWITCHES[name])
+    model = RAAL(config).train()
+    batch = make_batch(config, seed=seed, pad=pad, copies=copies,
+                       dense_child_mask=(name == "NE-LSTM"))
+    droppers = [l for l in model.dense if isinstance(l, Dropout)]
+    states = [l._rng.bit_generator.state for l in droppers]
+    ref_loss, ref = autograd_reference(model, batch)
+    for layer, state in zip(droppers, states):
+        layer._rng.bit_generator.state = state
+    model.zero_grad()
+    loss, pred = model.forward_backward(batch)
+    assert isinstance(pred, np.ndarray) and pred.shape == (batch.size,)
+    assert loss == pytest.approx(ref_loss, abs=TOL)
+    for pname, param in model.named_parameters():
+        assert param.grad is not None, pname
+        dev = float(np.max(np.abs(param.grad - ref[pname])))
+        assert dev <= TOL, f"{name}/{pname}: grad deviation {dev:.3e}"
+
+
+def check_gradients_accumulate(copies=1):
+    """Two calls without zero_grad sum, like autograd .backward()."""
+    config = small_config()
+    model = RAAL(config).train()
+    batch = make_batch(config, seed=4, copies=copies)
+    model.zero_grad()
+    model.forward_backward(batch)
+    once = {n: p.grad.copy() for n, p in model.named_parameters()}
+    model.forward_backward(batch)
+    for pname, param in model.named_parameters():
+        np.testing.assert_allclose(param.grad, 2.0 * once[pname],
+                                   rtol=0.0, atol=TOL, err_msg=pname)
+
+
 class TestGradientEquivalence:
     @pytest.mark.parametrize("name", sorted(VARIANT_SWITCHES))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("pad", [True, False], ids=["padded", "unpadded"])
     def test_variant_equivalence(self, name, seed, pad):
-        config = small_config(seed=seed, **VARIANT_SWITCHES[name])
-        model = RAAL(config).train()
-        batch = make_batch(config, seed=seed, pad=pad,
-                           dense_child_mask=(name == "NE-LSTM"))
-        ref_loss, ref = autograd_reference(model, batch)
-        model.zero_grad()
-        loss, pred = model.forward_backward(batch)
-        assert isinstance(pred, np.ndarray) and pred.shape == (batch.size,)
-        assert loss == pytest.approx(ref_loss, abs=TOL)
-        for pname, param in model.named_parameters():
-            assert param.grad is not None, pname
-            dev = float(np.max(np.abs(param.grad - ref[pname])))
-            assert dev <= TOL, f"{name}/{pname}: grad deviation {dev:.3e}"
+        check_matches_autograd(name, seed, pad)
+
+    @pytest.mark.parametrize("name", sorted(VARIANT_SWITCHES))
+    @pytest.mark.parametrize("pad", [True, False], ids=["padded", "unpadded"])
+    def test_repeated_plans_equivalence(self, name, pad):
+        """Each plan under 5 resource vectors: the plan side runs once per
+        distinct plan, and the gradients still match autograd over every
+        row."""
+        check_matches_autograd(name, seed=3, pad=pad, copies=5, dropout=0.3)
 
     def test_dropout_masks_align_with_autograd(self):
         """In train mode both paths draw identical masks from the same rng."""
@@ -110,17 +183,26 @@ class TestGradientEquivalence:
                                        rtol=0.0, atol=TOL, err_msg=pname)
 
     def test_gradients_accumulate(self):
-        """Two calls without zero_grad sum, like autograd .backward()."""
+        check_gradients_accumulate()
+
+    def test_gradients_accumulate_repeated_plans(self):
+        check_gradients_accumulate(copies=5)
+
+    def test_lstm_runs_on_distinct_plans_only(self, monkeypatch):
+        import repro.nn.training as training
+
+        rows = []
+        original = training.fused_lstm_forward_cached
+
+        def counting(x, *args, **kwargs):
+            rows.append(x.shape[0])
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(training, "fused_lstm_forward_cached", counting)
         config = small_config()
-        model = RAAL(config).train()
-        batch = make_batch(config, seed=4)
-        model.zero_grad()
-        model.forward_backward(batch)
-        once = {n: p.grad.copy() for n, p in model.named_parameters()}
-        model.forward_backward(batch)
-        for pname, param in model.named_parameters():
-            np.testing.assert_allclose(param.grad, 2.0 * once[pname],
-                                       rtol=0.0, atol=TOL, err_msg=pname)
+        batch = collate(repeated_samples(config, plans=3, copies=5, seed=9))
+        RAAL(config).train().forward_backward(batch)
+        assert rows == [3]
 
     def test_missing_targets_rejected(self):
         config = small_config()
@@ -142,6 +224,46 @@ class TestGradientEquivalence:
         np.testing.assert_array_equal(pred_m, pred_f)
 
 
+class TestPlanKeying:
+    """``collate`` groups rows by plan content, never by object identity."""
+
+    def _pair(self, config, **tweak):
+        a, b = repeated_samples(config, plans=1, copies=2, seed=12,
+                                shuffle=False)
+        for field_name, fn in tweak.items():
+            setattr(b.encoded, field_name, fn(getattr(b.encoded, field_name)))
+        extra = repeated_samples(config, plans=1, copies=1, seed=13)
+        return collate([a, b] + extra)
+
+    def test_equal_copies_share_a_plan_row(self):
+        batch = self._pair(small_config())
+        np.testing.assert_array_equal(batch.plan_rows, [0, 2])
+        np.testing.assert_array_equal(batch.plan_index, [0, 0, 1])
+
+    def test_features_one_ulp_apart_are_distinct(self):
+        def nudge(feats):
+            feats = feats.copy()
+            feats[0, 0] = np.nextafter(feats[0, 0], np.inf)
+            return feats
+
+        batch = self._pair(small_config(), node_features=nudge)
+        assert batch.plan_index is None
+
+    def test_different_child_mask_is_distinct(self):
+        def rewire(child):
+            child = child.copy()
+            child[0, -1] = not child[0, -1]
+            return child
+
+        batch = self._pair(small_config(), child_mask=rewire)
+        assert batch.plan_index is None
+
+    def test_all_distinct_batch_has_no_plan_index(self):
+        config = small_config()
+        batch = collate(random_samples(config, count=8, seed=4))
+        assert batch.plan_index is None and batch.plan_rows is None
+
+
 def random_samples(config: RAALConfig, count=28, max_n=10, seed=0):
     rng = np.random.default_rng(seed)
     out = []
@@ -160,37 +282,53 @@ def random_samples(config: RAALConfig, count=28, max_n=10, seed=0):
     return out
 
 
-def fit_once(fast_path: bool, epochs=5, dropout=0.1, seed=0):
+def fit_once(fast_path: bool, epochs=5, dropout=0.1, seed=0, copies=1):
+    """Fit a small model; ``copies > 1`` puts each plan under that many
+    resource vectors (8 plans), as data collection does."""
     config = small_config(seed=seed, dropout=dropout)
     model = RAAL(config)
     trainer = Trainer(model, TrainerConfig(
         epochs=epochs, batch_size=8, fast_path=fast_path,
         early_stopping_patience=epochs, seed=seed))
-    result = trainer.fit(random_samples(config, seed=seed))
+    if copies > 1:
+        samples = repeated_samples(config, plans=8, copies=copies, n=10,
+                                   seed=seed)
+        assert any(b.plan_index is not None
+                   for b in trainer._collate_bucketed(samples))
+    else:
+        samples = random_samples(config, seed=seed)
+    result = trainer.fit(samples)
     return result, model
+
+
+def check_same_trajectory(copies=1):
+    """Same seed ⇒ same loss history whichever path computes grads.
+
+    Both paths consume the same pre-collated batches, batch order, and
+    dropout rng stream; the only difference is the gradient kernel,
+    equivalent to ≤ 1e-8 — so the loss trajectories must coincide to
+    float accumulation error.
+    """
+    fast, fast_model = fit_once(fast_path=True, copies=copies)
+    legacy, legacy_model = fit_once(fast_path=False, copies=copies)
+    assert len(fast.train_losses) == len(legacy.train_losses)
+    assert fast.best_epoch == legacy.best_epoch
+    np.testing.assert_allclose(fast.train_losses, legacy.train_losses,
+                               rtol=0.0, atol=1e-7)
+    np.testing.assert_allclose(fast.val_losses, legacy.val_losses,
+                               rtol=0.0, atol=1e-7)
+    for (pname, fp), (_, lp) in zip(fast_model.named_parameters(),
+                                    legacy_model.named_parameters()):
+        np.testing.assert_allclose(fp.data, lp.data, rtol=0.0, atol=1e-7,
+                                   err_msg=pname)
 
 
 class TestFitParity:
     def test_fast_and_legacy_fit_walk_the_same_trajectory(self):
-        """Same seed ⇒ same loss history whichever path computes grads.
+        check_same_trajectory()
 
-        Both paths consume the same pre-collated batches, batch order,
-        and dropout rng stream; the only difference is the gradient
-        kernel, equivalent to ≤ 1e-8 — so the loss trajectories must
-        coincide to float accumulation error.
-        """
-        fast, fast_model = fit_once(fast_path=True)
-        legacy, legacy_model = fit_once(fast_path=False)
-        assert len(fast.train_losses) == len(legacy.train_losses)
-        assert fast.best_epoch == legacy.best_epoch
-        np.testing.assert_allclose(fast.train_losses, legacy.train_losses,
-                                   rtol=0.0, atol=1e-7)
-        np.testing.assert_allclose(fast.val_losses, legacy.val_losses,
-                                   rtol=0.0, atol=1e-7)
-        for (pname, fp), (_, lp) in zip(fast_model.named_parameters(),
-                                        legacy_model.named_parameters()):
-            np.testing.assert_allclose(fp.data, lp.data, rtol=0.0, atol=1e-7,
-                                       err_msg=pname)
+    def test_same_trajectory_with_repeated_plans(self):
+        check_same_trajectory(copies=5)
 
     def test_fast_fit_is_deterministic(self):
         one, _ = fit_once(fast_path=True)
