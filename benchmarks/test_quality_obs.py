@@ -15,6 +15,9 @@ play the ground truth:
    the detector must flip to ``drift`` within ``DETECT_GATE`` feedback
    samples, emit ``drift_detected``, trip the degradation ladder to
    its analytic fallback, and burn the q-error SLO budget into alert.
+   To burn it, the phase then sustains ``SUSTAIN`` more learned-model
+   feedback samples: each one is served when the ladder's dwell probe
+   lets RAAL through, and re-trips the ladder.
 3. **recovery** — weights restored, the ladder's fallback probe starts
    letting learned answers (and thus feedback) through again; once the
    current window flushes, the detector must emit ``drift_recovered``
@@ -136,19 +139,18 @@ def test_quality_observability():
         base, gpsj=gpsj, ladder=ladder, quality=quality,
         audit=AuditTrail(capacity=4096), slo=slo, workload="imdb")
 
-    def feed_one(fast: bool = True) -> tuple[str, float | None]:
+    def feed_one(learned_only: bool = False) -> tuple[str, float | None]:
         """Serve the next query and close its feedback loop.
 
-        ``fast=False`` bypasses the ladder's fallback routing, so the
-        learned stage keeps answering (and feedback keeps flowing)
-        even while the ladder sits in FALLBACK — the shape of feedback
-        for queries that were served before a trip.
+        ``learned_only`` closes the loop for learned-model answers only;
+        a fallback-served answer then gets no feedback.
         """
         record = next(records)
         explained = guard.predict_many_explained(
-            [(record.plan, record.resources)], fast=fast)
+            [(record.plan, record.resources)])
         qe = None
-        if explained.request_id is not None:
+        if explained.request_id is not None and (
+                explained.source == "raal" or not learned_only):
             qe = guard.record_observation(explained.request_id,
                                           record.cost_seconds)
         return explained.source, qe
@@ -200,17 +202,29 @@ def test_quality_observability():
                     samples_to_detect = len(drift_q)
                     break
             detect_seconds = time.perf_counter() - detect_started
-            # Sustain the drifting feedback past the detection blip:
-            # the burn-rate SLO needs both windows burning, and the
-            # ladder (already in FALLBACK) must stay re-tripped.
-            for _ in range(SUSTAIN if samples_to_detect is not None else 0):
-                _, qe = feed_one(fast=False)
+            # Sustain the drifting learned-model feedback past the
+            # detection blip: the burn-rate SLO needs both windows
+            # burning, and each sample re-trips the ladder its dwell
+            # probe let through. Bounded like the recovery wait.
+            sustained = 0
+            sustain_started = time.perf_counter()
+            while (samples_to_detect is not None and sustained < SUSTAIN
+                   and time.perf_counter() - sustain_started
+                   < RECOVERY_TIMEOUT_S):
+                source, qe = feed_one(learned_only=True)
+                if source != "raal":
+                    # Fallback-served: no feedback; give the ladder's
+                    # probe a moment to let RAAL through.
+                    time.sleep(0.01)
+                    continue
+                sustained += 1
                 if qe is not None:
                     drift_q.append(qe)
             results["drift"] = {
                 "qerror": _qstats(drift_q) if drift_q else None,
                 "samples_to_detect": samples_to_detect,
                 "detect_seconds": detect_seconds,
+                "sustained_samples": sustained,
                 "detector": drift_detector.snapshot(),
                 "ladder": ladder.state,
                 "ladder_history": [

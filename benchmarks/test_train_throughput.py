@@ -3,10 +3,12 @@
 Measures epoch throughput (samples/sec) for ``Trainer.fit`` on the
 paper-sized RAAL configuration, on the fast path (graph-free forward
 with cached activations + closed-form backward + epoch-persistent
-bucketed collation) and on the legacy path (per-timestep autograd graph
-construction and traversal). Also records the maximum per-parameter
-gradient deviation between the two paths on one training batch, so the
-speedup claim and the correctness bound live in the same artifact.
+bucketed collation) and on the legacy path (the same fit with the
+model's kernels patched by ``tests.autograd_oracle`` to per-timestep
+autograd graph construction and traversal). Also records the maximum
+per-parameter gradient deviation between the two paths on one training
+batch, so the speedup claim and the correctness bound live in the same
+artifact.
 
 Two sample sets are measured side by side:
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -51,8 +54,8 @@ from repro.core.trainer import TrainingSample
 from repro.encoding import EncodedPlan
 from repro.eval import render_table
 from repro.eval.experiments import ExperimentScale
-from repro.nn import Tensor, mse_loss
 from repro.nn.layers import Dropout
+from tests.autograd_oracle import autograd_gradients, autograd_kernels
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_training.json"
 
@@ -96,20 +99,22 @@ def _random_samples(config, count, max_n, seed=0, states=1):
     return out
 
 
-def _fit_throughput(fast_path: bool, samples, repeats: int = 2) -> dict[str, float]:
+def _fit_throughput(autograd: bool, samples, repeats: int = 2) -> dict[str, float]:
     """Train fresh models for N_EPOCHS each; return samples/sec stats.
 
-    ``samples_per_sec`` is the best epoch across ``repeats`` runs — the
-    best-of-N idiom the inference benchmark uses, which measures the
-    code path rather than scheduler noise on a shared box.
+    ``autograd`` routes each model's kernels through the autograd
+    oracle. ``samples_per_sec`` is the best epoch across ``repeats``
+    runs — the best-of-N idiom the inference benchmark uses, which
+    measures the code path rather than scheduler noise on a shared box.
     """
     results = []
     for _ in range(repeats):
         model = RAAL(MODEL_CONFIG)
         trainer = Trainer(model, TrainerConfig(
-            epochs=N_EPOCHS, batch_size=BATCH_SIZE, fast_path=fast_path,
+            epochs=N_EPOCHS, batch_size=BATCH_SIZE,
             early_stopping_patience=N_EPOCHS))
-        results.append(trainer.fit(samples))
+        with autograd_kernels(model) if autograd else nullcontext():
+            results.append(trainer.fit(samples))
     n_train = len(samples) - max(1, int(len(samples) * 0.1))
     total_epochs = sum(len(r.epoch_seconds) for r in results)
     total_seconds = sum(sum(r.epoch_seconds) for r in results)
@@ -138,9 +143,7 @@ def _gradient_deviation(samples, repeated: bool) -> float:
         assert batch.plan_index is not None, "repeated set: batch has no repeats"
     droppers = [l for l in model.dense if isinstance(l, Dropout)]
     states = [l._rng.bit_generator.state for l in droppers]
-    model.zero_grad()
-    mse_loss(model(batch), Tensor(batch.targets)).backward()
-    reference = {n: p.grad.copy() for n, p in model.named_parameters()}
+    _, reference = autograd_gradients(model, batch)
     for layer, state in zip(droppers, states):
         layer._rng.bit_generator.state = state
     model.zero_grad()
@@ -164,8 +167,8 @@ def _distinct_row_share(samples) -> float:
 
 def _measure(samples, repeated: bool) -> dict:
     """Fast vs legacy throughput and the gradient deviation on one set."""
-    fast = _fit_throughput(True, samples)
-    legacy = _fit_throughput(False, samples)
+    fast = _fit_throughput(False, samples)
+    legacy = _fit_throughput(True, samples)
     return {
         "fast": fast,
         "legacy": legacy,
@@ -184,8 +187,8 @@ def test_train_throughput():
 
     # Warm both paths (BLAS thread pools, allocator) before timing.
     warm = _random_samples(MODEL_CONFIG, 32, MAX_NODES, seed=1)
-    _fit_throughput(True, warm)
     _fit_throughput(False, warm)
+    _fit_throughput(True, warm)
 
     measured = {name: _measure(samples, repeated=(name == "repeated"))
                 for name, samples in sets.items()}

@@ -9,7 +9,8 @@ varied resource states the paper collects training data under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -59,6 +60,10 @@ class ResourceProfile:
     disk_throughput_mbps: float = 150.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ResourceError(f"{f.name} must be finite, got {value!r}")
         if self.nodes < 1 or self.cores_per_node < 1:
             raise ResourceError("cluster must have at least one node and core")
         if self.executors < 1 or self.executor_cores < 1:

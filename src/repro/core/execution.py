@@ -36,9 +36,8 @@ inline in :meth:`Trainer.predict_log`:
   every not-yet-started bucket and re-raises on the caller's thread
   immediately; the pool itself stays healthy for subsequent requests.
 
-The autograd fallback (``fast=False``) stays float64-only: it exists to
-cross-check the fused kernels against the training graph, which is a
-float64 artifact.
+Every bucket runs the graph-free :meth:`RAAL.forward_inference`; the
+Tensor/autograd forward is not a serving path.
 """
 
 from __future__ import annotations
@@ -74,13 +73,11 @@ def collate_inference(encoded: list, dtype: np.dtype,
                       arena: ScratchArena | None = None) -> RAALBatch:
     """Zero-pad encoded plans into an inference-only :class:`RAALBatch`.
 
-    The inference twin of :func:`repro.core.trainer.collate`: identical
-    padding and batch layout (so bucketed predictions are bit-identical
-    to the training collate at float64), but it skips TrainingSample
-    wrapping and targets, casts directly into the execution ``dtype``,
-    and — when given an ``arena`` — writes into reusable scratch
-    buffers instead of fresh allocations. Arena-backed batches are only
-    valid until the same thread's next collate call.
+    The one padding implementation: :func:`repro.core.trainer.collate`
+    pads through it at float64 and adds targets. Casts directly into
+    the execution ``dtype`` and — when given an ``arena`` — writes into
+    reusable scratch buffers instead of fresh allocations. Arena-backed
+    batches are only valid until the same thread's next collate call.
     """
     if not encoded:
         raise PredictionError("cannot collate an empty batch")
@@ -124,8 +121,7 @@ class BucketExecutor:
     batch_size:
         Max plans per bucket (usually ``TrainerConfig.batch_size``).
     precision:
-        ``"f64"`` (default, bit-identical to the legacy path), ``"f32"``,
-        or ``"int8"``.
+        ``"f64"`` (default), ``"f32"``, or ``"int8"``.
     threads:
         Bucket-level parallelism. ``1`` (default) stays single-threaded
         on the caller's thread; ``None``/``0`` means one worker per CPU
@@ -173,11 +169,6 @@ class BucketExecutor:
     def weights(self) -> InferenceWeights:
         """The current weight bundle (cached per model version)."""
         return inference_weights(self.model, self.precision)
-
-    def _bucket_order(self, lengths: list[int], bucket: bool) -> np.ndarray:
-        if bucket:
-            return np.argsort(lengths, kind="stable")
-        return np.arange(len(lengths))
 
     def _run_buckets(self, slices: list[np.ndarray], run, parallel: bool,
                      deadline) -> None:
@@ -230,28 +221,22 @@ class BucketExecutor:
         if deadline is not None:
             deadline.check("after final bucket")
 
-    def predict_log(self, encoded: list, fast: bool = True,
-                    bucket: bool = True, deadline=None) -> tuple[np.ndarray, int]:
+    def predict_log(self, encoded: list,
+                    deadline=None) -> tuple[np.ndarray, int]:
         """Log-space predictions for encoded plans.
 
         Returns ``(predictions, n_batches)`` with predictions in input
-        order. ``fast=False`` forces the Tensor/autograd forward
-        (float64 tier only — it cross-checks against the training
-        graph, which is a float64 artifact). ``deadline`` bounds the
-        call: expiry raises :class:`~repro.errors.DeadlineExceeded`
-        instead of returning a late answer.
+        order. ``deadline`` bounds the call: expiry raises
+        :class:`~repro.errors.DeadlineExceeded` instead of returning a
+        late answer.
         """
         if not encoded:
             return np.zeros(0), 0
-        if not fast and self.precision != "f64":
-            raise PredictionError(
-                f"the autograd fallback (fast=False) only supports the f64 "
-                f"tier, not {self.precision!r}")
         if deadline is not None:
             deadline.check("before predict")
         self.model.eval()
-        weights = self.weights() if fast else None
-        order = self._bucket_order([e.num_nodes for e in encoded], bucket)
+        weights = self.weights()
+        order = np.argsort([e.num_nodes for e in encoded], kind="stable")
         preds = np.empty(len(encoded))
         slices = [order[lo : lo + self.batch_size]
                   for lo in range(0, len(order), self.batch_size)]
@@ -259,15 +244,10 @@ class BucketExecutor:
         def run(idx: np.ndarray) -> None:
             if deadline is not None:
                 deadline.check("at bucket start")
-            batch = collate_inference(
-                [encoded[i] for i in idx],
-                weights.dtype if weights is not None else np.float64,
-                arena=thread_local_arena())
+            batch = collate_inference([encoded[i] for i in idx],
+                                      weights.dtype, arena=thread_local_arena())
             with no_grad():
-                if fast:
-                    out = self.model.forward_inference(batch, weights)
-                else:
-                    out = self.model(batch).numpy()
+                out = self.model.forward_inference(batch, weights)
             # Disjoint index sets per bucket: concurrent writes are safe.
             preds[idx] = out
 
@@ -278,7 +258,7 @@ class BucketExecutor:
             # runtime instead of being abandoned at expiry.
             self._run_buckets(
                 slices, run,
-                parallel=(self.threads > 1 and fast
+                parallel=(self.threads > 1
                           and (len(slices) > 1 or deadline is not None)),
                 deadline=deadline)
         except DeadlineExceeded:
@@ -307,7 +287,7 @@ class BucketExecutor:
             deadline.check("before grid predict")
         self.model.eval()
         weights = self.weights()
-        order = self._bucket_order([e.num_nodes for e in encoded_plans], True)
+        order = np.argsort([e.num_nodes for e in encoded_plans], kind="stable")
         out = np.empty((n_profiles, len(encoded_plans)))
         profiles = np.ascontiguousarray(profile_features, dtype=weights.dtype)
         slices = [order[lo : lo + self.batch_size]

@@ -258,8 +258,15 @@ def load_predictor(directory: str | os.PathLike,
         trainer_cfg = dict(meta["trainer_config"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{_META_FILE} is corrupt: {exc}") from exc
-
-    model = RAAL(RAALConfig(**model_cfg))
+    # Checkpoints saved while TrainerConfig had an autograd switch carry
+    # ``fast_path``; it selects nothing now, so it is dropped.
+    trainer_cfg.pop("fast_path", None)
+    try:
+        model = RAAL(RAALConfig(**model_cfg))
+        trainer_config = TrainerConfig(**trainer_cfg)
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(
+            f"{_META_FILE} holds an invalid config: {exc}") from exc
     try:
         load_model(model, path / _MODEL_FILE)
     except FileNotFoundError as exc:
@@ -288,8 +295,7 @@ def load_predictor(directory: str | os.PathLike,
         use_structure=enc_meta["use_structure"],
         use_onehot=enc_meta["use_onehot"],
     )
-    trainer = Trainer(model, TrainerConfig(**trainer_cfg))
-    return CostPredictor(encoder, trainer)
+    return CostPredictor(encoder, Trainer(model, trainer_config))
 
 
 def _jsonable(mapping: dict) -> dict:

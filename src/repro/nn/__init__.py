@@ -9,7 +9,6 @@ the LSTM (:mod:`repro.nn.rnn`), the paper's two attention mechanisms
 from repro.nn.arena import ScratchArena, thread_local_arena
 from repro.nn.attention import NodeAwareAttention, ResourceAwareAttention
 from repro.nn.inference import (
-    dense_forward,
     fused_lstm_forward,
     masked_mean_forward,
     node_attention_forward,
@@ -84,7 +83,6 @@ __all__ = [
     "node_attention_forward",
     "resource_attention_forward",
     "masked_mean_forward",
-    "dense_forward",
     "ScratchArena",
     "thread_local_arena",
     "InferenceWeights",

@@ -38,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.layers import Dropout, Linear, ReLU, Sequential
 from repro.nn.precision import (
     SOFTMAX_FLOORS,
     InferenceWeights,
@@ -50,7 +49,6 @@ __all__ = [
     "node_attention_forward",
     "resource_attention_forward",
     "masked_mean_forward",
-    "dense_forward",
     "dense_forward_ops",
     "conv1d_forward",
     "plan_side_forward",
@@ -182,30 +180,13 @@ def masked_mean_forward(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return (x * weights[:, :, None]).sum(axis=1) * (1.0 / denom)
 
 
-def dense_forward(dense: Sequential, x: np.ndarray) -> np.ndarray:
-    """Eval-mode forward through a Linear/ReLU/Dropout stack, graph-free."""
-    for layer in dense:
-        if isinstance(layer, Linear):
-            x = x @ layer.weight.data
-            if layer.bias is not None:
-                x = x + layer.bias.data
-        elif isinstance(layer, ReLU):
-            x = x * (x > 0)
-        elif isinstance(layer, Dropout):
-            pass  # identity at inference
-        else:
-            raise ShapeError(
-                f"no graph-free kernel for dense layer {type(layer).__name__}")
-    return x
-
-
 def dense_forward_ops(ops: list[tuple], x: np.ndarray) -> np.ndarray:
     """Forward through a precompiled dense op list (see InferenceWeights).
 
-    Same arithmetic and operation order as :func:`dense_forward`, but
-    over ``("linear", w, b)`` / ``("relu",)`` tuples instead of Module
-    objects — no isinstance dispatch on the hot path, and the weights
-    are already in the execution dtype.
+    Same arithmetic and operation order as the Linear/ReLU/Dropout
+    stack's eval-mode forward, over ``("linear", w, b)`` / ``("relu",)``
+    tuples instead of Module objects — no isinstance dispatch on the hot
+    path, and the weights are already in the execution dtype.
     """
     for op in ops:
         if op[0] == "linear":

@@ -297,29 +297,24 @@ class GuardedCostPredictor:
         )
 
     def predict_many(self, pairs: list[tuple[PhysicalPlan, ResourceProfile]],
-                     fast: bool = True,
                      deadline: Deadline | None = None) -> np.ndarray:
         """Guarded cost vector (drop-in for ``CostPredictor.predict_many``)."""
-        return self.predict_many_explained(pairs, fast=fast,
-                                           deadline=deadline).costs
+        return self.predict_many_explained(pairs, deadline=deadline).costs
 
     def predict_grid(self, plans: list[PhysicalPlan],
                      profiles: list[ResourceProfile],
-                     fast: bool = True,
                      deadline: Deadline | None = None) -> np.ndarray:
         """Guarded cost matrix (drop-in for ``CostPredictor.predict_grid``)."""
-        return self.predict_grid_explained(plans, profiles, fast=fast,
+        return self.predict_grid_explained(plans, profiles,
                                            deadline=deadline).costs
 
     def predict_grid_explained(self, plans: list[PhysicalPlan],
                                profiles: list[ResourceProfile],
-                               fast: bool = True,
                                deadline: Deadline | None = None,
                                ) -> ExplainedPredictions:
         """Guarded ``(len(profiles), len(plans))`` grid with provenance."""
         pairs = [(plan, profile) for profile in profiles for plan in plans]
-        explained = self.predict_many_explained(pairs, fast=fast,
-                                                deadline=deadline)
+        explained = self.predict_many_explained(pairs, deadline=deadline)
         return ExplainedPredictions(
             costs=explained.costs.reshape(len(profiles), len(plans)),
             source=explained.source,
@@ -386,7 +381,6 @@ class GuardedCostPredictor:
     # -- the chain ---------------------------------------------------------
     def predict_many_explained(
         self, pairs: list[tuple[PhysicalPlan, ResourceProfile]],
-        fast: bool = True,
         deadline: Deadline | None = None,
     ) -> ExplainedPredictions:
         """Run the fallback chain for a batch of (plan, resources) pairs.
@@ -398,8 +392,7 @@ class GuardedCostPredictor:
         model's health. Blown deadlines and admission sheds likewise
         degrade without tripping the breaker — they are load signals,
         not model failures. While the ladder sits in ``fallback`` the
-        learned stage is skipped on the ``fast`` path; ``fast=False``
-        (the per-sample reference forward) always reaches it. Raises
+        learned stage is skipped. Raises
         :class:`PredictionError` only when every stage fails (or
         :class:`~repro.errors.Overloaded` when a shed occurs under
         ``shed_mode="reject"``).
@@ -426,8 +419,7 @@ class GuardedCostPredictor:
                                        stage="raal", reason=problem)
                         reasons.append(f"raal: {problem}")
                         continue
-                    if (self.ladder is not None and fast
-                            and self.ladder.in_fallback()):
+                    if self.ladder is not None and self.ladder.in_fallback():
                         stats.ladder_fallback += 1
                         obs.inc("guard.raal.ladder_fallback_total",
                                 help="Requests routed past the learned "
@@ -443,10 +435,9 @@ class GuardedCostPredictor:
                     continue
                 try:
                     if stage == "raal":
-                        costs = self._raal_costs(pairs, fast=fast,
-                                                 deadline=deadline)
+                        costs = self._raal_costs(pairs, deadline=deadline)
                     else:
-                        costs = self._run_stage(stage, pairs, fast=fast)
+                        costs = self._run_stage(stage, pairs)
                 except Overloaded as exc:
                     stats.shed += 1
                     obs.emit_event("guard", "shed", stage="raal",
@@ -577,13 +568,12 @@ class GuardedCostPredictor:
             self.ladder.trip_drift(detector.last_reason or "accuracy drift")
 
     # -- stages ------------------------------------------------------------
-    def _run_stage(self, stage: str, pairs, fast: bool) -> np.ndarray:
+    def _run_stage(self, stage: str, pairs) -> np.ndarray:
         if stage == "gpsj":
             return self._gpsj_costs(pairs)
         return self._heuristic_costs(pairs)
 
-    def _raal_costs(self, pairs, fast: bool,
-                    deadline: Deadline | None) -> np.ndarray:
+    def _raal_costs(self, pairs, deadline: Deadline | None) -> np.ndarray:
         """Admission-gated learned prediction with output validation."""
         admit = (self.admission.admit(deadline)
                  if self.admission is not None else nullcontext())
@@ -599,8 +589,7 @@ class GuardedCostPredictor:
                     f"{len(encoded)} samples (first at index {bad[0]})")
             if deadline is not None:
                 deadline.check("after encode")
-            costs = self.predictor.predict_encoded(encoded, fast=fast,
-                                                   deadline=deadline)
+            costs = self.predictor.predict_encoded(encoded, deadline=deadline)
         if not np.all(np.isfinite(costs)):
             raise PredictionError("model produced non-finite costs")
         # Saturation is read off this call's own answers: a cost at the
@@ -629,18 +618,17 @@ class GuardedCostPredictor:
 
     # -- input validation --------------------------------------------------
     def _validate_inputs(self, pairs) -> str | None:
-        """Reason string when the request cannot go to the learned model."""
+        """Reason string when the request cannot go to the learned model.
+
+        Resources are not checked here: :class:`ResourceProfile` refuses
+        non-finite and non-positive values at construction.
+        """
         structure = self.predictor.encoder.structure
         max_nodes = structure.max_nodes if structure is not None else None
-        for i, (plan, resources) in enumerate(pairs):
+        for i, (plan, _) in enumerate(pairs):
             if max_nodes is not None and plan.num_nodes > max_nodes:
                 return (f"plan {i} has {plan.num_nodes} nodes, exceeding "
                         f"the encoder's max_nodes={max_nodes}")
-            features = resources.as_features()
-            if not np.all(np.isfinite(features)):
-                return f"resource profile {i} has non-finite features"
-            if resources.executor_memory_gb <= 0 or resources.task_slots < 1:
-                return f"resource profile {i} has non-positive resources"
             for node in plan.nodes():
                 if not (np.isfinite(node.est_rows) and np.isfinite(node.est_bytes)):
                     return f"plan {i} carries non-finite cardinality estimates"

@@ -88,6 +88,19 @@ class TestErrorBoundary:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("memory", ["inf", "nan"])
+    def test_non_finite_memory_exits_nonzero_with_one_liner(
+            self, shared_model_dir, capsys, memory):
+        code = main([
+            "predict", "--model", shared_model_dir, "--catalog-scale", "0.05",
+            "--memory-gb", memory, "--sql", "select count(*) from title t"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "executor_memory_gb must be finite" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "source:" not in captured.out
+
 
 @pytest.fixture(scope="module")
 def shared_model_dir(tmp_path_factory):

@@ -63,6 +63,15 @@ class TestResourceProfile:
         with pytest.raises(ResourceError):
             ResourceProfile(network_throughput_mbps=-1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["executor_memory_gb",
+                                       "network_throughput_mbps",
+                                       "disk_throughput_mbps"])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ResourceError, match=f"{field} must be finite"):
+            ResourceProfile(**{field: value})
+
     def test_task_slots_capped_by_physical_cores(self):
         res = ResourceProfile(nodes=1, cores_per_node=2, executors=8, executor_cores=4)
         assert res.task_slots == 2

@@ -1,9 +1,9 @@
 """Inference fast path: graph-free forward equivalence and no-grad guarantees.
 
-The fast path (`RAAL.forward_inference` / `Trainer.predict_*(fast=True)`)
-must be numerically interchangeable with the autograd forward for every
-model variant, with and without padding, and the whole prediction path
-must never build or retain an autograd graph.
+The fast path (`RAAL.forward_inference`, which every `Trainer.predict_*`
+runs) must be numerically interchangeable with the autograd forward for
+every model variant, with and without padding, and the whole prediction
+path must never build or retain an autograd graph.
 """
 
 import numpy as np
@@ -15,6 +15,11 @@ from repro.errors import ShapeError
 from repro.nn import Tensor, raal_forward_inference
 from repro.plan.physical import FileScan, FilterExec, HashAggregate, PhysicalPlan
 from repro.cluster.resources import ResourceProfile
+from tests.autograd_oracle import (
+    autograd_kernels,
+    autograd_predict_log,
+    autograd_predict_seconds,
+)
 
 TOL = 1e-8
 
@@ -129,15 +134,16 @@ class TestPredictionPath:
 
     def test_fast_matches_autograd_predictions(self, trainer):
         encoded = random_encoded(trainer.model.config, count=13, seed=1)
-        fast = trainer.predict_seconds(encoded, fast=True)
-        slow = trainer.predict_seconds(encoded, fast=False, bucket=False)
+        fast = trainer.predict_seconds(encoded)
+        slow = autograd_predict_seconds(trainer, encoded,
+                                        batch_size=trainer.config.batch_size)
         np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-6)
 
     def test_bucketing_preserves_input_order(self, trainer):
         encoded = random_encoded(trainer.model.config, count=17, seed=2)
-        bucketed = trainer.predict_log(encoded, bucket=True)
-        plain = trainer.predict_log(encoded, bucket=False)
-        np.testing.assert_allclose(bucketed, plain, rtol=0.0, atol=TOL)
+        bucketed = trainer.predict_log(encoded)
+        per_plan = autograd_predict_log(trainer.model, encoded)
+        np.testing.assert_allclose(bucketed, per_plan, rtol=0.0, atol=TOL)
 
     def test_empty_input(self, trainer):
         assert trainer.predict_seconds([]).shape == (0,)
@@ -154,7 +160,8 @@ class TestPredictionPath:
 
         monkeypatch.setattr(RAAL, "forward", spy)
         encoded = random_encoded(trainer.model.config, count=6, seed=3)
-        trainer.predict_seconds(encoded, fast=False)
+        with autograd_kernels(trainer.model):
+            trainer.predict_seconds(encoded)
         assert captured, "autograd forward was not exercised"
         for out in captured:
             assert isinstance(out, Tensor)
@@ -169,7 +176,7 @@ class TestPredictionPath:
             RAAL, "forward",
             lambda self, batch: calls.append(1) or original(self, batch))
         encoded = random_encoded(trainer.model.config, count=6, seed=4)
-        out = trainer.predict_seconds(encoded, fast=True)
+        out = trainer.predict_seconds(encoded)
         assert isinstance(out, np.ndarray)
         assert not calls, "fast path fell back to the autograd forward"
         assert all(p.grad is None for p in trainer.model.parameters())
@@ -204,8 +211,10 @@ class TestPredictorNoGrad:
 
         monkeypatch.setattr(RAAL, "forward", spy)
         pairs = [(tiny_plan(0.1 * i), ResourceProfile()) for i in range(1, 4)]
-        costs = predictor.predict_many(pairs, fast=False)
+        with autograd_kernels(predictor.trainer.model):
+            costs = predictor.predict_many(pairs)
         assert costs.shape == (3,)
+        assert captured, "autograd forward was not exercised"
         for out in captured:
             assert not out.requires_grad and out._parents == ()
         assert all(p.grad is None for p in predictor.trainer.model.parameters())

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.core import RAAL, RAALConfig, Trainer, TrainerConfig
 from repro.encoding import EncodedPlan
+from tests.autograd_oracle import autograd_kernels
 
 
 def _random_encoded(config, count, max_n, seed=0):
@@ -45,12 +46,16 @@ def test_fast_path_at_least_autograd_throughput():
     trainer = Trainer(RAAL(config).eval(), TrainerConfig(batch_size=32))
     encoded = _random_encoded(config, count=96, max_n=14)
 
-    # Warm both paths (BLAS thread pools, allocator) before timing.
-    trainer.predict_seconds(encoded, fast=True)
-    trainer.predict_seconds(encoded, fast=False)
+    def autograd():
+        with autograd_kernels(trainer.model):
+            return trainer.predict_seconds(encoded)
 
-    fast = _best_of(lambda: trainer.predict_seconds(encoded, fast=True))
-    slow = _best_of(lambda: trainer.predict_seconds(encoded, fast=False))
+    # Warm both paths (BLAS thread pools, allocator) before timing.
+    trainer.predict_seconds(encoded)
+    autograd()
+
+    fast = _best_of(lambda: trainer.predict_seconds(encoded))
+    slow = _best_of(autograd)
 
     # The graph-free forward skips Tensor allocation and backward-closure
     # wiring entirely; it must at least match autograd throughput. The

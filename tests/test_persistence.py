@@ -1,6 +1,7 @@
 """Tests for model persistence: word2vec, the full cost predictor, and
 checkpoint integrity (manifest verification under fault injection)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -111,6 +112,19 @@ def saved_dir(pipeline, trained, tmp_path):
     return path
 
 
+def reseal_with(directory, section, **keys):
+    """Add ``keys`` to one config of ``meta.json`` and re-seal the manifest."""
+    meta_path = directory / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[section].update(keys)
+    meta_path.write_text(json.dumps(meta, indent=2))
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"]["meta.json"] = hashlib.sha256(
+        meta_path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+
+
 class TestCheckpointIntegrity:
     def test_manifest_written_and_verifies(self, saved_dir):
         manifest = json.loads((saved_dir / "manifest.json").read_text())
@@ -189,6 +203,23 @@ class TestCheckpointIntegrity:
         report = verify_checkpoint(tmp_path / "never-saved")
         assert not report.ok
         assert "does not exist" in " ".join(report.notes)
+
+    def test_retired_fast_path_key_still_loads(self, saved_dir, pipeline):
+        """Checkpoints saved while the trainer had an autograd switch
+        carry ``fast_path``; they load and predict identically."""
+        pairs = [(r.plan, r.resources) for r in pipeline.records[:6]]
+        before = load_predictor(saved_dir).predict_many(pairs)
+        reseal_with(saved_dir, "trainer_config", fast_path=True)
+        assert verify_checkpoint(saved_dir).ok
+        after = load_predictor(saved_dir).predict_many(pairs)
+        np.testing.assert_array_equal(before, after)
+
+    @pytest.mark.parametrize("section", ["trainer_config", "model_config"])
+    def test_unknown_config_key_is_a_checkpoint_error(self, saved_dir, section):
+        reseal_with(saved_dir, section, bogus_knob=1)
+        assert verify_checkpoint(saved_dir).ok
+        with pytest.raises(CheckpointError, match="bogus_knob"):
+            load_predictor(saved_dir)
 
     def test_resave_refreshes_manifest(self, saved_dir, pipeline, trained):
         # Saving again over the same directory keeps verification green.

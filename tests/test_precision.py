@@ -234,13 +234,6 @@ class TestBucketExecutor:
             b, _ = threaded.predict_log_grid(encoded, profiles)
         assert np.array_equal(a, b)
 
-    def test_autograd_fallback_requires_f64(self):
-        model = eval_model("RAAL")
-        encoded = encoded_workload(model.config, count=3)
-        executor = BucketExecutor(model, batch_size=4, precision="f32")
-        with pytest.raises(PredictionError):
-            executor.predict_log(encoded, fast=False)
-
     def test_collate_inference_matches_training_collate(self):
         from repro.core.trainer import TrainingSample, collate
 

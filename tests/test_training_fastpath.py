@@ -1,26 +1,28 @@
 """Training fast path: analytic backward equivalence and fit() parity.
 
-The fused training step (`RAAL.forward_backward` /
-`TrainerConfig.fast_path`) must produce, for every model variant, the
-same gradients as the autograd path to ≤ 1e-8 per parameter, and
-`Trainer.fit` must walk the same loss trajectory whichever path computes
-the gradients (both share the epoch-persistent bucketed collation, so
-the gradient kernel is the only difference). Both contracts also hold on
-batches where one plan fills several rows, for which the fused step runs
-the plan side once per distinct plan.
+The fused training step (`RAAL.forward_backward`) must produce, for
+every model variant, the same gradients as the autograd oracle to
+≤ 1e-8 per parameter, and `Trainer.fit` must walk the same loss
+trajectory as a fit whose kernels the oracle patches to autograd (both
+share the epoch-persistent bucketed collation, so the gradient kernel is
+the only difference). Both contracts also hold on batches where one plan
+fills several rows, for which the fused step runs the plan side once per
+distinct plan.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.cli import build_parser, _make_pipeline
 from repro.core import RAAL, RAALConfig, Trainer, TrainerConfig
 from repro.core.trainer import TrainingSample, collate
 from repro.encoding import EncodedPlan
 from repro.errors import TrainingError
-from repro.nn import Tensor, mse_loss, raal_forward_backward
+from repro.nn import raal_forward_backward
 from repro.nn.layers import Dropout
+from tests.autograd_oracle import autograd_gradients, autograd_kernels
 
 TOL = 1e-8
 
@@ -106,15 +108,6 @@ def repeated_samples(config: RAALConfig, plans=4, copies=5, n=9, seed=0,
     return out
 
 
-def autograd_reference(model, batch):
-    """Legacy gradients: autograd forward + mse backward."""
-    model.zero_grad()
-    loss = mse_loss(model(batch), Tensor(batch.targets))
-    loss.backward()
-    grads = {name: p.grad.copy() for name, p in model.named_parameters()}
-    return float(loss.data), grads
-
-
 def check_matches_autograd(name, seed, pad, copies=1, dropout=0.0):
     """Fused gradients == autograd's for variant ``name`` (dropout replayed)."""
     config = small_config(seed=seed, dropout=dropout, **VARIANT_SWITCHES[name])
@@ -123,7 +116,7 @@ def check_matches_autograd(name, seed, pad, copies=1, dropout=0.0):
                        dense_child_mask=(name == "NE-LSTM"))
     droppers = [l for l in model.dense if isinstance(l, Dropout)]
     states = [l._rng.bit_generator.state for l in droppers]
-    ref_loss, ref = autograd_reference(model, batch)
+    ref_loss, ref = autograd_gradients(model, batch)
     for layer, state in zip(droppers, states):
         layer._rng.bit_generator.state = state
     model.zero_grad()
@@ -172,7 +165,7 @@ class TestGradientEquivalence:
         batch = make_batch(config, seed=11)
         droppers = [l for l in model.dense if isinstance(l, Dropout)]
         states = [l._rng.bit_generator.state for l in droppers]
-        ref_loss, ref = autograd_reference(model, batch)
+        ref_loss, ref = autograd_gradients(model, batch)
         for layer, state in zip(droppers, states):
             layer._rng.bit_generator.state = state
         model.zero_grad()
@@ -282,14 +275,15 @@ def random_samples(config: RAALConfig, count=28, max_n=10, seed=0):
     return out
 
 
-def fit_once(fast_path: bool, epochs=5, dropout=0.1, seed=0, copies=1):
+def fit_once(autograd=False, epochs=5, dropout=0.1, seed=0, copies=1):
     """Fit a small model; ``copies > 1`` puts each plan under that many
-    resource vectors (8 plans), as data collection does."""
+    resource vectors (8 plans), as data collection does. ``autograd``
+    routes the model's kernels through the autograd oracle."""
     config = small_config(seed=seed, dropout=dropout)
     model = RAAL(config)
     trainer = Trainer(model, TrainerConfig(
-        epochs=epochs, batch_size=8, fast_path=fast_path,
-        early_stopping_patience=epochs, seed=seed))
+        epochs=epochs, batch_size=8, early_stopping_patience=epochs,
+        seed=seed))
     if copies > 1:
         samples = repeated_samples(config, plans=8, copies=copies, n=10,
                                    seed=seed)
@@ -297,20 +291,21 @@ def fit_once(fast_path: bool, epochs=5, dropout=0.1, seed=0, copies=1):
                    for b in trainer._collate_bucketed(samples))
     else:
         samples = random_samples(config, seed=seed)
-    result = trainer.fit(samples)
+    with autograd_kernels(model) if autograd else nullcontext():
+        result = trainer.fit(samples)
     return result, model
 
 
 def check_same_trajectory(copies=1):
-    """Same seed ⇒ same loss history whichever path computes grads.
+    """Same seed ⇒ same loss history whichever kernel computes grads.
 
-    Both paths consume the same pre-collated batches, batch order, and
+    Both fits consume the same pre-collated batches, batch order, and
     dropout rng stream; the only difference is the gradient kernel,
     equivalent to ≤ 1e-8 — so the loss trajectories must coincide to
     float accumulation error.
     """
-    fast, fast_model = fit_once(fast_path=True, copies=copies)
-    legacy, legacy_model = fit_once(fast_path=False, copies=copies)
+    fast, fast_model = fit_once(copies=copies)
+    legacy, legacy_model = fit_once(autograd=True, copies=copies)
     assert len(fast.train_losses) == len(legacy.train_losses)
     assert fast.best_epoch == legacy.best_epoch
     np.testing.assert_allclose(fast.train_losses, legacy.train_losses,
@@ -331,14 +326,14 @@ class TestFitParity:
         check_same_trajectory(copies=5)
 
     def test_fast_fit_is_deterministic(self):
-        one, _ = fit_once(fast_path=True)
-        two, _ = fit_once(fast_path=True)
+        one, _ = fit_once()
+        two, _ = fit_once()
         assert one.train_losses == two.train_losses
         assert one.val_losses == two.val_losses
         assert one.best_epoch == two.best_epoch
 
     def test_fit_records_throughput(self):
-        result, _ = fit_once(fast_path=True, epochs=3)
+        result, _ = fit_once(epochs=3)
         assert len(result.samples_per_sec) == len(result.train_losses)
         assert all(t > 0 for t in result.samples_per_sec)
 
@@ -346,10 +341,11 @@ class TestFitParity:
         config = small_config()
         model = RAAL(config)
         samples = random_samples(config, count=13, seed=3)
-        fast = Trainer(model, TrainerConfig(batch_size=4, fast_path=True))
-        legacy = Trainer(model, TrainerConfig(batch_size=4, fast_path=False))
-        assert fast.evaluate_loss(samples) == pytest.approx(
-            legacy.evaluate_loss(samples), abs=TOL)
+        trainer = Trainer(model, TrainerConfig(batch_size=4))
+        fast = trainer.evaluate_loss(samples)
+        with autograd_kernels(model):
+            legacy = trainer.evaluate_loss(samples)
+        assert fast == pytest.approx(legacy, abs=TOL)
 
     def test_fast_fit_never_calls_autograd_forward(self, monkeypatch):
         calls = []
@@ -357,15 +353,25 @@ class TestFitParity:
         monkeypatch.setattr(
             RAAL, "forward",
             lambda self, batch: calls.append(1) or original(self, batch))
-        fit_once(fast_path=True, epochs=2)
+        fit_once(epochs=2)
         assert not calls, "fast-path fit fell back to the autograd forward"
+
+    def test_oracle_fit_runs_the_autograd_forward(self, monkeypatch):
+        """The parity tests above compare against a real autograd fit."""
+        calls = []
+        original = RAAL.forward
+        monkeypatch.setattr(
+            RAAL, "forward",
+            lambda self, batch: calls.append(1) or original(self, batch))
+        fit_once(autograd=True, epochs=1)
+        assert calls, "oracle-patched fit never ran the autograd forward"
 
 
 class TestTrainingTelemetry:
     def test_fit_emits_throughput_metrics_and_events(self):
         telemetry = obs.Telemetry.create()
         with obs.attached(telemetry):
-            result, _ = fit_once(fast_path=True, epochs=2)
+            result, _ = fit_once(epochs=2)
         reg = telemetry.registry
         tput = reg.histogram("train.samples_per_sec").snapshot()
         assert tput["count"] == len(result.train_losses)
@@ -377,19 +383,3 @@ class TestTrainingTelemetry:
         for event in epochs:
             assert event["throughput"] > 0
 
-
-class TestCLIWiring:
-    def test_no_fast_path_flag_parses(self):
-        args = build_parser().parse_args(
-            ["train", "--out", "x", "--no-fast-path"])
-        assert args.no_fast_path is True
-        args = build_parser().parse_args(["train", "--out", "x"])
-        assert args.no_fast_path is False
-
-    def test_flag_reaches_trainer_config(self):
-        args = build_parser().parse_args(
-            ["experiment", "--queries", "4", "--no-fast-path"])
-        pipeline = _make_pipeline(args)
-        assert pipeline.scale.fast_path is False
-        args = build_parser().parse_args(["experiment", "--queries", "4"])
-        assert _make_pipeline(args).scale.fast_path is True
