@@ -239,7 +239,7 @@ def test_overload_resilience():
         results["recovery"] = {
             "ladder": guard.health_state()["ladder"],
             "seconds_to_healthy": recovered_at,
-            "transitions_total": len(ladder.history),
+            "transitions_total": ladder.transitions,
         }
 
         # -- phase 5: shed fast-fail -----------------------------------

@@ -43,10 +43,12 @@ Commands
     it (``--promote``), or roll back to the previous incumbent
     (``--rollback``).
 
-``experiment``, ``train``, and ``predict`` accept ``--emit-telemetry
-PATH``: the run executes under an attached telemetry bundle, streaming
-structured events to ``PATH`` as JSONL and appending a final
-``telemetry_report`` event with the aggregate metrics and span trees.
+``experiment``, ``train``, ``predict`` and ``serve`` accept
+``--emit-telemetry PATH``: the run executes under an attached telemetry
+bundle, streaming structured events to ``PATH`` as JSONL and appending
+a final ``telemetry_report`` event with the aggregate metrics and span
+trees. For ``serve`` the stream carries every audited prediction, so
+``repro audit PATH`` queries a server's answers after shutdown.
 """
 
 from __future__ import annotations
@@ -157,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", help="run the HTTP prediction service")
+    _telemetry_arg(serve)
     serve.add_argument(
         "--model", action="append", default=[], metavar="[ID=]DIR",
         help="checkpoint directory to serve, optionally prefixed with a "

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -61,14 +62,30 @@ def plan_fingerprint(plan: PhysicalPlan) -> str:
     tree edges (structure embedding / child mask), and the per-node
     cardinality estimates (cardinality features and extras). Two plans
     with equal fingerprints encode to identical plan-side features.
+
+    A plan's statements and edges never change once it is built, but
+    its estimates may. The digest is therefore kept on the plan
+    (``plan.fingerprint_memo``) together with the estimates it hashed,
+    packed as float64 bytes. While the live estimates are bit-for-bit
+    those bytes, the kept digest is returned; any change, including one
+    to NaN or from 0.0 to -0.0, hashes the plan again.
     """
+    nodes = plan.nodes()
+    estimates = array("d", [value for node in nodes
+                            for value in (node.est_rows, node.est_bytes)]
+                      ).tobytes()
+    memo = plan.fingerprint_memo
+    if memo is not None and memo[0] == estimates:
+        return memo[1]
     hasher = hashlib.blake2b(digest_size=16)
-    for node in plan.nodes():
+    for node in nodes:
         hasher.update(";".join(node.statements()).encode())
         hasher.update(f"|{node.est_rows:.17g}|{node.est_bytes:.17g}\n".encode())
     for child_idx, parent_idx in plan.edges():
         hasher.update(f"{child_idx}>{parent_idx},".encode())
-    return hasher.hexdigest()
+    digest = hasher.hexdigest()
+    plan.fingerprint_memo = (estimates, digest)
+    return digest
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ sync) so an always-on deployment cannot grow without bound; records are
 plain dicts end to end, serializable to JSONL (:meth:`AuditTrail.\
 write_jsonl`) and re-loadable from either a dedicated audit file or a
 full telemetry event stream (:func:`load_audit_records`) — which is how
-the ``repro audit`` CLI verb queries runs after the fact.
+the ``repro audit`` CLI verb queries runs after the fact. In memory a
+record lives only in this ring: its ``audit/prediction`` event goes to
+the telemetry JSONL file, not to the event log's ring.
 
 Like the rest of ``repro.obs`` this module imports no model code: plan
 fingerprints and resource profiles arrive as already-flattened data
@@ -41,9 +43,12 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class AuditRecord:
-    """One served prediction, with ground truth attached once observed."""
+    """One served prediction, with ground truth attached once observed.
+
+    Slotted: a serving shard keeps up to ``capacity`` of these alive.
+    """
 
     request_id: str
     #: Position within the request (grid/batched requests serve many
@@ -121,7 +126,15 @@ class AuditTrail:
                workload: str | None = None,
                reason: str | None = None) -> AuditRecord | None:
         """Append one prediction; returns the record, or ``None`` when
-        the per-request cap dropped it."""
+        the per-request cap dropped it.
+
+        The record is kept once, here. ``resources`` is stored as given,
+        not copied, so callers may share one dict between the records of
+        a profile and must not mutate it afterwards. The matching
+        ``audit/prediction`` event is streamed to the telemetry JSONL
+        file (when one is configured) and tallied, but not kept in the
+        event log's in-memory ring.
+        """
         if index >= self.per_request_cap:
             with self._lock:
                 self.truncated += 1
@@ -131,7 +144,8 @@ class AuditTrail:
         record = AuditRecord(
             request_id=request_id, index=index, ts=self._clock(),
             plan_fingerprint=plan_fingerprint, plan_nodes=plan_nodes,
-            resources=dict(resources or {}), tier=tier, source=source,
+            resources=resources if resources is not None else {},
+            tier=tier, source=source,
             latency_seconds=latency_seconds,
             prediction_seconds=prediction_seconds,
             workload=workload, reason=reason)
@@ -144,12 +158,12 @@ class AuditTrail:
         obs.inc("audit.records_total", help="Audit records appended")
         obs.set_gauge("audit.ring_size", size,
                       help="Audit records currently retained")
-        obs.emit_event("audit", "prediction", request_id=request_id,
-                       index=index, fingerprint=plan_fingerprint,
-                       tier=tier, source=source,
-                       prediction_seconds=prediction_seconds,
-                       latency_seconds=latency_seconds,
-                       resources=dict(resources or {}))
+        obs.stream_event("audit", "prediction", request_id=request_id,
+                         index=index, fingerprint=plan_fingerprint,
+                         tier=tier, source=source,
+                         prediction_seconds=prediction_seconds,
+                         latency_seconds=latency_seconds,
+                         resources=record.resources)
         return record
 
     def observe(self, request_id: str, observed_seconds: float,

@@ -2,9 +2,13 @@
 
 Components emit typed events (``trainer/epoch``, ``guard/fallback``,
 ``guard/breaker_transition``, ``encoder/cache_evict``) as flat dicts.
-Every event is kept in a bounded in-memory ring (for tests and the
-run report) and, when a path is configured, appended to a JSONL file —
-one JSON object per line, the append-only format log shippers expect.
+Every event is tallied by type and, when a path is configured,
+serialized and appended to a JSONL file — one JSON object per line, the
+append-only format log shippers expect. Events sent with
+:meth:`EventLog.emit` are also kept in a bounded in-memory ring (for
+tests and the run report); per-request events sent with
+:meth:`EventLog.stream` (``audit/prediction``) skip the ring, so they
+cannot evict the rare events an operator looks for there.
 
 A per-component bridge to the stdlib ``logging`` module is provided by
 :meth:`EventLog.logger`: records logged through the returned logger are
@@ -44,8 +48,9 @@ class EventLog:
     Parameters
     ----------
     path:
-        When set, every event is appended to this file as one JSON
-        line (flushed per event, so a crashed run keeps its tail).
+        When set, every event is serialized and appended to this file
+        as one JSON line (flushed per event, so a crashed run keeps its
+        tail). Without it nothing is serialized.
     clock:
         Wall-clock source for the ``ts`` field; injectable for tests.
     capacity:
@@ -69,6 +74,15 @@ class EventLog:
 
     def emit(self, component: str, event: str, **fields: object) -> dict:
         """Record one structured event; returns the stored record."""
+        return self._log(component, event, fields, keep=True)
+
+    def stream(self, component: str, event: str, **fields: object) -> dict:
+        """Tally one high-volume event and append it to the JSONL file,
+        without keeping it in the in-memory ring; returns the record."""
+        return self._log(component, event, fields, keep=False)
+
+    def _log(self, component: str, event: str, fields: dict,
+             keep: bool) -> dict:
         clash = [k for k in fields if k in self._RESERVED]
         if clash:
             raise TelemetryError(
@@ -76,12 +90,14 @@ class EventLog:
                 f"{self._RESERVED}")
         record = {"ts": self._clock(), "component": component,
                   "event": event, **fields}
-        line = json.dumps(record, default=_jsonify, sort_keys=True)
+        line = (json.dumps(record, default=_jsonify, sort_keys=True)
+                if self.path is not None else None)
         with self._lock:
-            self._ring.append(record)
+            if keep:
+                self._ring.append(record)
             self._tally[f"{component}.{event}"] += 1
             self._emitted += 1
-            if self.path is not None:
+            if line is not None:
                 if self._file is None:
                     self._file = open(self.path, "a", encoding="utf-8")
                 self._file.write(line + "\n")

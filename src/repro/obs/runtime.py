@@ -43,6 +43,7 @@ __all__ = [
     "observe",
     "set_gauge",
     "emit_event",
+    "stream_event",
     "install_from_env",
     "NULL_SPAN",
     "TELEMETRY_ENV_VAR",
@@ -186,6 +187,14 @@ def emit_event(component: str, event: str, **fields: object) -> None:
     tel = _ACTIVE
     if tel is not None:
         tel.events.emit(component, event, **fields)
+
+
+def stream_event(component: str, event: str, **fields: object) -> None:
+    """Stream a per-request event on the active log, if any: tallied
+    and written to its JSONL file, never kept in its in-memory ring."""
+    tel = _ACTIVE
+    if tel is not None:
+        tel.events.stream(component, event, **fields)
 
 
 def install_from_env(environ: dict[str, str] | None = None) -> Telemetry | None:

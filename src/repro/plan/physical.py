@@ -354,6 +354,12 @@ class PhysicalPlan:
 
     ``nodes()`` returns operators in execution order (post-order), the
     ordering both the structure encoder and the simulator rely on.
+
+    The tree's shape never changes once the plan is built (only the
+    nodes' cardinality annotations do), so the post-order and the edge
+    list are worked out on first use and kept. ``nodes()`` and
+    ``edges()`` hand out fresh lists, so a caller cannot corrupt the
+    memo. Two threads racing on first use compute the same tuples.
     """
 
     _ids = itertools.count()
@@ -364,36 +370,48 @@ class PhysicalPlan:
         self.alias_to_table = dict(alias_to_table)
         self.label = label
         self.plan_id = next(PhysicalPlan._ids)
+        self._shape: tuple[tuple[PhysicalNode, ...],
+                           tuple[tuple[int, int], ...]] | None = None
+        #: ``(estimates, digest)`` kept by
+        #: :func:`repro.encoding.plan_encoder.plan_fingerprint`.
+        self.fingerprint_memo: tuple[bytes, str] | None = None
+
+    def _post_order(self) -> tuple[tuple[PhysicalNode, ...],
+                                   tuple[tuple[int, int], ...]]:
+        """Memoized ``(nodes, edges)``, built on first use."""
+        shape = self._shape
+        if shape is None:
+            out: list[PhysicalNode] = []
+
+            def visit(node: PhysicalNode) -> None:
+                for child in node.children:
+                    visit(child)
+                out.append(node)
+
+            visit(self.root)
+            index = {id(node): i for i, node in enumerate(out)}
+            edges = tuple((index[id(child)], i)
+                          for i, node in enumerate(out)
+                          for child in node.children)
+            shape = self._shape = (tuple(out), edges)
+        return shape
 
     def nodes(self) -> list[PhysicalNode]:
         """Post-order (bottom-up execution order) list of operators."""
-        out: list[PhysicalNode] = []
-
-        def visit(node: PhysicalNode) -> None:
-            for child in node.children:
-                visit(child)
-            out.append(node)
-
-        visit(self.root)
-        return out
+        return list(self._post_order()[0])
 
     def node_index(self) -> dict[int, int]:
         """Map ``id(node)`` → position in :meth:`nodes` order."""
-        return {id(node): i for i, node in enumerate(self.nodes())}
+        return {id(node): i for i, node in enumerate(self._post_order()[0])}
 
     def edges(self) -> list[tuple[int, int]]:
         """(child_index, parent_index) pairs in execution order."""
-        index = self.node_index()
-        out: list[tuple[int, int]] = []
-        for node in self.nodes():
-            for child in node.children:
-                out.append((index[id(child)], index[id(node)]))
-        return out
+        return list(self._post_order()[1])
 
     @property
     def num_nodes(self) -> int:
         """Number of operators in the plan."""
-        return len(self.nodes())
+        return len(self._post_order()[0])
 
     def operator_counts(self) -> dict[str, int]:
         """Histogram of operator names (useful for tests/debugging)."""

@@ -502,20 +502,29 @@ class GuardedCostPredictor:
             return None
         request_id = self.audit.next_request_id()
         served_tier = self.predictor.config.precision if stage == "raal" else None
+        # Plans and profiles repeat across a request's pairs: work out
+        # each one's audit facts once and share them between records.
+        plan_facts: dict[int, tuple[str | None, int | None]] = {}
+        flat_resources: dict[int, dict] = {}
         for i, (plan, resources) in enumerate(pairs):
-            try:
-                fingerprint = plan_fingerprint(plan)
-                nodes = int(plan.num_nodes)
-            except Exception:
-                fingerprint, nodes = None, None
-            record = self.audit.record(
-                request_id, index=i,
-                plan_fingerprint=fingerprint, plan_nodes=nodes,
-                resources={
+            facts = plan_facts.get(id(plan))
+            if facts is None:
+                try:
+                    facts = (plan_fingerprint(plan), int(plan.num_nodes))
+                except Exception:
+                    facts = (None, None)
+                plan_facts[id(plan)] = facts
+            flat = flat_resources.get(id(resources))
+            if flat is None:
+                flat = flat_resources[id(resources)] = {
                     "executors": resources.executors,
                     "executor_cores": resources.executor_cores,
                     "executor_memory_gb": resources.executor_memory_gb,
-                },
+                }
+            record = self.audit.record(
+                request_id, index=i,
+                plan_fingerprint=facts[0], plan_nodes=facts[1],
+                resources=flat,
                 tier=served_tier, source=stage, latency_seconds=latency,
                 prediction_seconds=float(costs[i]),
                 workload=self.workload, reason=reason)
@@ -621,11 +630,16 @@ class GuardedCostPredictor:
         """Reason string when the request cannot go to the learned model.
 
         Resources are not checked here: :class:`ResourceProfile` refuses
-        non-finite and non-positive values at construction.
+        non-finite and non-positive values at construction. Each
+        distinct plan is checked once, under the index of its first pair.
         """
         structure = self.predictor.encoder.structure
         max_nodes = structure.max_nodes if structure is not None else None
+        seen: set[int] = set()
         for i, (plan, _) in enumerate(pairs):
+            if id(plan) in seen:
+                continue
+            seen.add(id(plan))
             if max_nodes is not None and plan.num_nodes > max_nodes:
                 return (f"plan {i} has {plan.num_nodes} nodes, exceeding "
                         f"the encoder's max_nodes={max_nodes}")

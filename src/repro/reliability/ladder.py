@@ -18,13 +18,17 @@ predictor's configured tier. An open RAAL circuit breaker is not stored
 here either — the guard reads it from the breaker when reporting health.
 
 Every transition updates the ``health.state`` gauge (0 = healthy,
-1 = fallback) and emits a ``ladder_transition`` event.
+1 = fallback), emits a ``ladder_transition`` event, bumps the exact
+``transitions`` count and is appended to ``history``, which keeps only
+the latest :data:`HISTORY_CAP` transitions: under persistent drift the
+ladder cycles probe/re-trip for as long as the service runs.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,12 +36,15 @@ from repro import obs
 from repro.errors import ReproError
 
 __all__ = ["LadderConfig", "DegradationLadder", "LadderTransition",
-           "LADDER_STATES"]
+           "LADDER_STATES", "HISTORY_CAP"]
 
 #: State names, indexed by the ``health.state`` gauge value.
 LADDER_STATES: tuple[str, ...] = ("healthy", "fallback")
 
 _GAUGE_HELP = "Degradation ladder state (0=healthy, 1=fallback)"
+
+#: Transitions kept in :attr:`DegradationLadder.history`.
+HISTORY_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,10 @@ class DegradationLadder:
         self._lock = threading.Lock()
         self._fallback = False
         self._last_transition = clock()
-        self.history: list[LadderTransition] = []
+        #: The latest :data:`HISTORY_CAP` transitions, oldest first.
+        self.history: deque[LadderTransition] = deque(maxlen=HISTORY_CAP)
+        #: Every transition since construction (``history`` forgets).
+        self.transitions = 0
         obs.set_gauge("health.state", 0, help=_GAUGE_HELP)
 
     @property
@@ -108,6 +118,7 @@ class DegradationLadder:
         self._last_transition = self._clock()
         self.history.append(LadderTransition(
             at=self._last_transition, old=old, new=self.state, reason=reason))
+        self.transitions += 1
         obs.set_gauge("health.state", int(fallback), help=_GAUGE_HELP)
         obs.inc("ladder.transitions_total",
                 help="Degradation ladder state changes")

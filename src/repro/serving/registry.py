@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -126,9 +127,15 @@ class ModelShard:
         self.candidate: CandidateState | None = None
         self._previous: ServingModel | None = None
         self._retired: list[ServingModel] = []
-        self.batcher = MicroBatcher(self._execute, window_ms=window_ms,
-                                    max_pairs=max_pairs, name=model_id,
-                                    clock=clock)
+        # A weak method keeps the shard and its batcher out of a
+        # reference cycle, so a closed shard (its models, caches and the
+        # GPSJ catalog) is freed as soon as it is dropped, not at the
+        # next full garbage collection.
+        execute = weakref.WeakMethod(self._execute)
+        self.batcher = MicroBatcher(
+            lambda pairs, deadline: execute()(pairs, deadline),
+            window_ms=window_ms, max_pairs=max_pairs, name=model_id,
+            clock=clock)
 
     # -- serving -----------------------------------------------------------
     def predict(self, pairs, deadline: Deadline | None = None) -> BatchItem:

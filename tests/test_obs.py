@@ -357,6 +357,40 @@ class TestEventLog:
         assert [r["event"] for r in records] == ["cache_evict", "recovery"]
         assert records[0]["component"] == "encoder"
 
+    def test_serializes_only_for_a_file_sink(self, tmp_path, monkeypatch):
+        from repro.obs import events as events_module
+
+        calls = []
+        dumps = events_module.json.dumps
+        monkeypatch.setattr(events_module.json, "dumps",
+                            lambda *a, **k: calls.append(1) or dumps(*a, **k))
+        in_memory = EventLog()
+        for i in range(3):
+            in_memory.emit("c", "e", i=i)
+        in_memory.stream("audit", "prediction", i=0)
+        assert calls == []
+        on_disk = EventLog(path=str(tmp_path / "events.jsonl"))
+        for i in range(3):
+            on_disk.emit("c", "e", i=i)
+        on_disk.stream("audit", "prediction", i=0)
+        on_disk.close()
+        assert len(calls) == 4
+
+    def test_stream_skips_ring_but_tallies_and_persists(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path=str(path), capacity=2)
+        log.emit("quality", "drift_detected", reason="x")
+        for i in range(5):
+            log.stream("audit", "prediction", index=i)
+        log.close()
+        assert [e["event"] for e in log.events()] == ["drift_detected"]
+        assert log.counts() == {"quality.drift_detected": 1,
+                                "audit.prediction": 5}
+        assert log.emitted == 6
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["event"] for r in lines] == ["drift_detected"] + [
+            "prediction"] * 5
+
     def test_ring_eviction_keeps_tallies(self):
         log = EventLog(capacity=2)
         for i in range(5):

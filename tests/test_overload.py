@@ -31,6 +31,7 @@ from repro.reliability import (
     GuardedCostPredictor,
     LadderConfig,
 )
+from repro.reliability.ladder import HISTORY_CAP
 
 
 class FakeClock:
@@ -179,6 +180,18 @@ class TestLadder:
             ("healthy", "fallback", "drift trip: test drift"),
             ("fallback", "healthy", "fallback probe after hold"),
         ]
+
+    def test_history_is_bounded_and_transitions_exact(self):
+        clock = FakeClock()
+        ladder = tripped_ladder(clock)
+        for _ in range(10_000):  # persistent drift: probe, then re-trip
+            clock.advance(2.0)
+            assert not ladder.in_fallback()
+            ladder.trip_drift("still drifting")
+        assert ladder.transitions == 1 + 2 * 10_000
+        assert len(ladder.history) <= HISTORY_CAP
+        assert ladder.history[-1].reason == "drift trip: still drifting"
+        assert ladder.history[-2].reason == "fallback probe after hold"
 
     def test_negative_hold_rejected(self):
         with pytest.raises(ReproError, match="hold_seconds"):

@@ -299,6 +299,19 @@ class TestAuditTrail:
             "req-000001", "req-000002", "req-000003"]
         assert all(r.q_error == pytest.approx(2.0) for r in loaded)
 
+    def test_audit_predictions_do_not_evict_rare_events(self):
+        telemetry = Telemetry.create()  # no JSONL sink
+        with obs.attached(telemetry):
+            obs.emit_event("quality", "drift_detected", reason="early")
+            trail = AuditTrail(capacity=64)
+            for _ in range(5_000):
+                trail.record(trail.next_request_id(), plan_fingerprint="fp",
+                             source="raal", prediction_seconds=1.0)
+        (drift,) = telemetry.events.events("quality", "drift_detected")
+        assert drift["reason"] == "early"
+        assert telemetry.events.counts()["audit.prediction"] == trail.recorded
+        assert trail.recorded == 5_000
+
     def test_load_from_telemetry_event_stream(self, tmp_path):
         path = tmp_path / "events.jsonl"
         telemetry = Telemetry.create(events_path=str(path))

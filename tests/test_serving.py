@@ -284,6 +284,24 @@ class TestHotSwap:
         with pytest.raises(CheckpointError):
             service.deploy({"checkpoint": str(bad)})
 
+    def test_closed_shard_is_freed_without_a_gc_pass(self, pipeline,
+                                                      checkpoint, sql):
+        import gc
+        import weakref
+
+        svc = PredictionService(ServingConfig(), catalog=pipeline.catalog)
+        svc.load_model(checkpoint)
+        svc.predict({"sql": sql, "resources": {"executors": 2}})
+        shard = weakref.ref(svc.registry.shard("default"))
+        guard = weakref.ref(shard().current.guard)
+        gc.disable()
+        try:
+            svc.close()
+            del svc
+            assert shard() is None and guard() is None
+        finally:
+            gc.enable()
+
     def test_rollback_without_previous_conflicts(self, pipeline, checkpoint):
         svc = PredictionService(ServingConfig(), catalog=pipeline.catalog)
         svc.load_model(checkpoint)
